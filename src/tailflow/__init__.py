@@ -59,7 +59,7 @@ from .partition import (
     random_partition,
     single_partition,
 )
-from .pipeline import RunManifest, compare_runs, run_pipeline
+from .pipeline import RunManifest, compare_runs, run_pipeline, run_stage
 from .training import (
     ConflictTrace,
     TrainBatch,

@@ -1,23 +1,30 @@
 """Command-line interface.
 
 Subcommands: generate, partition, train, sample, evaluate,
-analyze-conflicts, compare, pipeline. Every subcommand is a pure function
-of (input files, flags, seed) to files under ``--out``; nothing is written
-anywhere else. Exit codes: 0 success, 1 usage error, 2 stage failure.
+analyze-conflicts, compare, pipeline. The five stage subcommands each run
+one stage of ``tailflow.pipeline`` on the inputs an earlier stage left in
+``--out`` and record it in ``--out/manifest.json``. Every subcommand is a
+pure function of (files in ``--out``, flags, seed) to files under ``--out``;
+nothing is written anywhere else. Exit codes: 0 success, 1 usage error,
+2 stage failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .config import ExperimentConfig, load_experiment_config
-from .errors import StageError
-from .pipeline import RunManifest, build_partition, compare_runs, run_pipeline
+from .config import load_experiment_config
+from .pipeline import (
+    ARTIFACTS,
+    RunManifest,
+    build_partition,
+    compare_runs,
+    pretrained_backbone,
+    run_pipeline,
+    run_stage,
+)
 
 
 class _UsageError(Exception):
@@ -29,137 +36,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser, out_required: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="experiment config file")
     sub.add_argument("--seed", type=int, default=None, help="override the config root seed")
-    sub.add_argument("--out", required=out_required, help="output directory")
+    sub.add_argument("--out", required=True, help="output directory")
 
 
-def _load(args) -> tuple[ExperimentConfig, int, Path]:
+def _cmd_stage(args) -> int:
     cfg = load_experiment_config(args.config)
-    root = cfg.root_seed if args.seed is None else args.seed
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return cfg, root, out
-
-
-def _cmd_generate(args) -> int:
-    from .config import class_specs_from_config
-    from .datagen import generate_corpus, save_corpus
-    from .seeding import derive_seed
-
-    cfg, root, out = _load(args)
-    for split, size in (("train", cfg.corpus_size), ("test", cfg.corpus_test_size)):
-        corpus = generate_corpus(
-            class_specs_from_config(cfg, size), cfg.corpus_dimension,
-            derive_seed(root, f"datagen-{split}"),
-            cfg.corpus_embedding_dim, cfg.corpus_noise_scale,
-        )
-        save_corpus(corpus, out / f"{split}_corpus.txt")
-        print(f"wrote {out / f'{split}_corpus.txt'} ({len(corpus)} samples)")
-    return 0
-
-
-def _cmd_partition(args) -> int:
-    from .datagen import load_corpus
-    from .partition import composition_report, save_partition
-    from .seeding import derive_seed
-
-    cfg, root, out = _load(args)
-    corpus = load_corpus(args.corpus or out / "train_corpus.txt")
-    part = build_partition(
-        corpus, cfg.partition_method, cfg.partition_experts, derive_seed(root, "partition")
-    )
-    save_partition(part, out / "partition.txt")
-    report = composition_report(part, corpus)
-    (out / "composition.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    print(f"wrote {out / 'partition.txt'} ({part.method}, K={part.num_experts})")
-    return 0
-
-
-def _cmd_train(args) -> int:
-    from .datagen import load_corpus
-    from .model import BackboneConfig, ModelState, init_adapters, init_backbone, save_checkpoint
-    from .partition import load_partition
-    from .seeding import derive_seed
-    from .training import ledger_json, pretrain_backbone, traces_csv, train
-
-    cfg, root, out = _load(args)
-    corpus = load_corpus(args.corpus or out / "train_corpus.txt")
-    part = load_partition(args.partition or out / "partition.txt", corpus)
-    config = BackboneConfig(
-        data_dim=cfg.corpus_dimension, hidden_dim=cfg.backbone_hidden_dim,
-        num_blocks=cfg.backbone_blocks, cond_dim=cfg.corpus_embedding_dim,
-        time_embed_dim=cfg.backbone_time_embed_dim,
-    )
-    state = ModelState(
-        config=config, backbone=init_backbone(config, derive_seed(root, "backbone")),
-        adapters=None, frozen=False,
-    )
-    state = pretrain_backbone(
-        state, corpus, cfg.train_pretrain_steps, cfg.train_batch_size,
-        cfg.train_pretrain_lr, derive_seed(root, "pretrain"),
-        cond_dropout=cfg.train_cond_dropout,
-    )
-    state.adapters = init_adapters(
-        config, part.num_experts, cfg.adapter_dim, cfg.adapter_placement,
-        cfg.adapter_nonlinearity, derive_seed(root, "adapters"),
-    )
-    trained, ledger, traces = train(
-        state, corpus, part, steps=cfg.train_steps, batch_size=cfg.train_batch_size,
-        resample=cfg.train_resample, lr=cfg.train_lr, seed=derive_seed(root, "train"),
-        quota=cfg.train_quota, cond_dropout=cfg.train_cond_dropout,
-        trace_interval=cfg.train_trace_interval,
-    )
-    save_checkpoint(trained, out / "checkpoint.npz")
-    (out / "ledger.json").write_text(ledger_json(ledger))
-    (out / "conflict_trace.csv").write_text(traces_csv(traces, part.num_experts))
-    print(f"wrote {out / 'checkpoint.npz'} (utilization gap {ledger.gap():.2f}%)")
-    return 0
-
-
-def _cmd_sample(args) -> int:
-    from .datagen import label_embedding, load_corpus
-    from .metrics import save_samples
-    from .model import load_checkpoint, sample_batch
-    from .partition import class_to_expert, load_partition
-    from .seeding import derive_seed
-
-    cfg, root, out = _load(args)
-    corpus = load_corpus(args.corpus or out / "train_corpus.txt")
-    part = load_partition(args.partition or out / "partition.txt", corpus)
-    state = load_checkpoint(args.checkpoint or out / "checkpoint.npz")
-    experts = class_to_expert(part, corpus)
-    vectors, classes = [], []
-    for spec in corpus.classes:
-        cond = label_embedding(
-            spec.class_id, corpus.num_classes, corpus.seed, corpus.embedding_dim
-        )
-        xs = sample_batch(
-            state, cond, experts[spec.class_id], cfg.sample_guidance_scale,
-            cfg.sample_steps, cfg.sample_per_class, derive_seed(root, "sample", spec.class_id),
-        )
-        vectors.append(xs)
-        classes.extend([spec.class_id] * cfg.sample_per_class)
-    save_samples(out / "generated.txt", np.vstack(vectors), np.array(classes))
-    print(f"wrote {out / 'generated.txt'} ({len(classes)} samples)")
-    return 0
-
-
-def _cmd_evaluate(args) -> int:
-    from .metrics import evaluate, load_features
-
-    cfg, root, out = _load(args)
-    generated = load_features(args.generated or out / "generated.txt", tag="generated")
-    train_f = load_features(args.train or out / "train_corpus.txt", tag="train")
-    test_f = load_features(args.test or out / "test_corpus.txt", tag="test")
-    report = evaluate(generated, train_f, test_f, k=cfg.metrics_k)
-    (out / "metrics.json").write_text(report.to_json())
-    (out / "metrics.csv").write_text(report.to_csv())
-    print(
-        f"wrote {out / 'metrics.json'} "
-        f"(coverage {report.coverage:.3f}, adjusted retrieval {report.irs_adjusted:.3f})"
-    )
+    manifest = run_stage(cfg, args.out, args.stage, seed=args.seed)
+    written = ", ".join(str(Path(args.out) / name) for name in ARTIFACTS[args.stage])
+    print(f"wrote {written} ({manifest.stages[args.stage]['seconds']:.2f} s)")
     return 0
 
 
@@ -168,37 +55,24 @@ def _cmd_analyze_conflicts(args) -> int:
     import io
 
     from .datagen import load_corpus
-    from .model import BackboneConfig, ModelState, init_backbone
     from .seeding import derive_seed
-    from .training import measure_conflict_reduction, pretrain_backbone
+    from .training import measure_conflict_reduction
 
-    cfg, root, out = _load(args)
-    corpus = load_corpus(args.corpus or out / "train_corpus.txt")
-    config = BackboneConfig(
-        data_dim=cfg.corpus_dimension, hidden_dim=cfg.backbone_hidden_dim,
-        num_blocks=cfg.backbone_blocks, cond_dim=cfg.corpus_embedding_dim,
-        time_embed_dim=cfg.backbone_time_embed_dim,
-    )
-    state = ModelState(
-        config=config, backbone=init_backbone(config, derive_seed(root, "backbone")),
-        adapters=None, frozen=False,
-    )
+    cfg = load_experiment_config(args.config)
+    root = cfg.root_seed if args.seed is None else args.seed
+    out = Path(args.out)
+    corpus = load_corpus(out / "train_corpus.txt")
     # probe the same frozen base the train stage fine-tunes
-    state = pretrain_backbone(
-        state, corpus, cfg.train_pretrain_steps, cfg.train_batch_size,
-        cfg.train_pretrain_lr, derive_seed(root, "pretrain"),
-        cond_dropout=cfg.train_cond_dropout,
-    )
-    methods = ["label-tier", "embedding-kmeans", "random", "single"]
+    state = pretrained_backbone(cfg, corpus, root)
     parts = []
     kept = []
-    for method in methods:
+    for method in ("label-tier", "embedding-kmeans", "random", "single"):
         experts = 1 if method == "single" else cfg.partition_experts
         try:
             parts.append(build_partition(corpus, method, experts, derive_seed(root, method)))
             kept.append(method)
-        except ValueError:
-            pass
+        except ValueError as exc:
+            print(f"skipped {method}: {exc}", file=sys.stderr)
     scores = measure_conflict_reduction(
         state, corpus, parts, probe_size=args.probe_size, seed=derive_seed(root, "conflict")
     )
@@ -223,9 +97,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    cfg, root, out = _load(args)
-    manifest = run_pipeline(cfg, out, seed=root)
-    print(f"wrote {out / 'manifest.json'} (config {manifest.config_hash[:12]})")
+    manifest = run_pipeline(load_experiment_config(args.config), args.out, seed=args.seed)
+    print(f"wrote {Path(args.out) / 'manifest.json'} (config {manifest.config_hash[:12]})")
     return 0
 
 
@@ -233,38 +106,19 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="tailflow", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("generate", help="generate train/test corpora")
-    _add_common(sub)
-    sub.set_defaults(fn=_cmd_generate)
-
-    sub = subs.add_parser("partition", help="partition a corpus into expert clusters")
-    _add_common(sub)
-    sub.add_argument("--corpus", default=None)
-    sub.set_defaults(fn=_cmd_partition)
-
-    sub = subs.add_parser("train", help="pretrain the backbone and fine-tune adapters")
-    _add_common(sub)
-    sub.add_argument("--corpus", default=None)
-    sub.add_argument("--partition", default=None)
-    sub.set_defaults(fn=_cmd_train)
-
-    sub = subs.add_parser("sample", help="generate vectors from a checkpoint")
-    _add_common(sub)
-    sub.add_argument("--corpus", default=None)
-    sub.add_argument("--partition", default=None)
-    sub.add_argument("--checkpoint", default=None)
-    sub.set_defaults(fn=_cmd_sample)
-
-    sub = subs.add_parser("evaluate", help="compute diversity/quality metrics")
-    _add_common(sub)
-    sub.add_argument("--generated", default=None)
-    sub.add_argument("--train", default=None)
-    sub.add_argument("--test", default=None)
-    sub.set_defaults(fn=_cmd_evaluate)
+    for name, stage, text in (
+        ("generate", "datagen", "generate train/test corpora"),
+        ("partition", "partition", "partition the train corpus into expert clusters"),
+        ("train", "train", "pretrain the backbone and fine-tune adapters"),
+        ("sample", "sample", "generate vectors from the checkpoint"),
+        ("evaluate", "evaluate", "compute diversity/quality metrics"),
+    ):
+        sub = subs.add_parser(name, help=text)
+        _add_common(sub)
+        sub.set_defaults(fn=_cmd_stage, stage=stage)
 
     sub = subs.add_parser("analyze-conflicts", help="compare partitions by gradient conflict")
     _add_common(sub)
-    sub.add_argument("--corpus", default=None)
     sub.add_argument("--probe-size", type=int, default=8)
     sub.set_defaults(fn=_cmd_analyze_conflicts)
 
@@ -289,9 +143,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.fn(args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - stage failures map to exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2

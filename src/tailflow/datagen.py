@@ -96,7 +96,6 @@ class SampleRecord:
     x: np.ndarray
     class_id: int
     embedding: np.ndarray
-    cluster_id: int | None = None
 
 
 @dataclass

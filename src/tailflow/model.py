@@ -530,7 +530,6 @@ def sgd_step(state: ModelState, grads: LossGradients, lr: float) -> None:
 
 
 def _euler_integrate(
-    state: ModelState,
     x: np.ndarray,
     steps: int,
     velocity: Callable[[np.ndarray, float], np.ndarray],
@@ -592,7 +591,7 @@ def sample_batch(
     _check_expert(state, expert_id)
     cond = np.asarray(cond, dtype=np.float64)
     x0 = rng_for(seed, "sample-noise").standard_normal((count, state.config.data_dim))
-    return _euler_integrate(state, x0, steps, _velocity_fn(state, cond, expert_id, guidance_scale))
+    return _euler_integrate(x0, steps, _velocity_fn(state, cond, expert_id, guidance_scale))
 
 
 def cfg_sample(
@@ -617,7 +616,7 @@ def sample_conditional(
     cond = np.asarray(cond, dtype=np.float64)
     x0 = rng_for(seed, "sample-noise").standard_normal((1, state.config.data_dim))
     fn = _velocity_fn(state, cond, expert_id, 1.0)
-    return _euler_integrate(state, x0, steps, fn)[0]
+    return _euler_integrate(x0, steps, fn)[0]
 
 
 def sample_unconditional(
@@ -630,7 +629,7 @@ def sample_unconditional(
     null = np.zeros(state.config.cond_dim)
     x0 = rng_for(seed, "sample-noise").standard_normal((1, state.config.data_dim))
     fn = _velocity_fn(state, null, expert_id, 0.0)
-    return _euler_integrate(state, x0, steps, fn)[0]
+    return _euler_integrate(x0, steps, fn)[0]
 
 
 def per_sample_probe_gradients(

@@ -60,13 +60,6 @@ class Partition:
     method: str
     composition: list[dict[int, int]]
 
-    def expert_of(self, sample_id: int) -> int:
-        if not 0 <= sample_id < len(self.assignments):
-            from .errors import UnknownSampleError
-
-            raise UnknownSampleError(sample_id)
-        return int(self.assignments[sample_id])
-
     def members(self, expert_id: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == expert_id)
 

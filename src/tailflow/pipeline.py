@@ -1,10 +1,13 @@
-"""End-to-end experiment pipeline and run comparison.
+"""The five experiment stages, their runs, and run comparison.
 
-``run_pipeline`` executes datagen -> partition -> train -> sample ->
-evaluate inside an output directory, records a manifest (config hash,
-artifact paths and content hashes, wall-clock per stage), and is fully
-reproducible from (config, root seed). Any stage failure raises
-``StageError`` naming the stage; artifacts written so far are retained.
+``STAGES`` holds the one body of each stage, in run order: datagen ->
+partition -> train -> sample -> evaluate. ``run_pipeline`` runs them all
+inside an output directory; ``run_stage`` runs one, reading its inputs from
+that directory. Either way each finished stage is recorded in
+``<out>/manifest.json`` (config hash, root seed, artifact names and content
+hashes, wall-clock seconds), and a run is fully reproducible from (config,
+root seed). Any stage failure raises ``StageError`` naming the stage;
+artifacts written so far are retained.
 
 A pre-training phase inside the train stage fits the backbone itself
 (unfrozen, no adapters) and then freezes it, standing in for the large
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, class_specs_from_config
-from .datagen import Corpus, generate_corpus, label_embedding, save_corpus
+from .datagen import Corpus, generate_corpus, label_embedding, load_corpus, save_corpus
 from .errors import SchemaMismatchError, StageError
 from .metrics import evaluate, load_features, save_samples
 from .model import (
@@ -32,6 +35,7 @@ from .model import (
     ModelState,
     init_adapters,
     init_backbone,
+    load_checkpoint,
     sample_batch,
     save_checkpoint,
 )
@@ -41,6 +45,7 @@ from .partition import (
     class_to_expert,
     composition_report,
     label_tier_partition,
+    load_partition,
     random_partition,
     save_partition,
     single_partition,
@@ -51,8 +56,10 @@ from .training import ledger_json, pretrain_backbone, traces_csv, train
 __all__ = [
     "RunManifest",
     "run_pipeline",
+    "run_stage",
     "compare_runs",
     "build_partition",
+    "pretrained_backbone",
     "ARTIFACTS",
 ]
 
@@ -104,10 +111,6 @@ class RunManifest:
         )
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def build_partition(corpus: Corpus, method: str, num_experts: int, seed: int) -> Partition:
     if method == "label-tier":
         return label_tier_partition(corpus, num_experts)
@@ -120,131 +123,205 @@ def build_partition(corpus: Corpus, method: str, num_experts: int, seed: int) ->
     raise ValueError(f"unknown partition method {method!r}")
 
 
-def _finish_stage(manifest: RunManifest, out: Path, stage: str, started: float) -> None:
-    names = ARTIFACTS[stage]
-    manifest.stages[stage] = {
+@dataclass
+class RunContext:
+    """What a stage reads: the config, the run directory, the root seed, and
+    whatever earlier stages of this process already made. A stage loads an
+    input from ``out`` only when the context does not hold it."""
+
+    cfg: ExperimentConfig
+    out: Path
+    root: int
+    corpus: Corpus | None = None
+    partition: Partition | None = None
+    state: ModelState | None = None
+
+    def train_corpus(self) -> Corpus:
+        if self.corpus is None:
+            self.corpus = load_corpus(self.out / "train_corpus.txt")
+        return self.corpus
+
+    def expert_partition(self) -> Partition:
+        if self.partition is None:
+            self.partition = load_partition(self.out / "partition.txt", self.train_corpus())
+        return self.partition
+
+    def trained_state(self) -> ModelState:
+        if self.state is None:
+            self.state = load_checkpoint(self.out / "checkpoint.npz")
+        return self.state
+
+
+def pretrained_backbone(cfg: ExperimentConfig, corpus: Corpus, root: int) -> ModelState:
+    """The frozen base model: a backbone shaped by ``cfg`` and pre-trained on
+    ``corpus``. The train stage fine-tunes it; analyze-conflicts probes it."""
+    config = BackboneConfig(
+        data_dim=cfg.corpus_dimension,
+        hidden_dim=cfg.backbone_hidden_dim,
+        num_blocks=cfg.backbone_blocks,
+        cond_dim=cfg.corpus_embedding_dim,
+        time_embed_dim=cfg.backbone_time_embed_dim,
+    )
+    state = ModelState(
+        config=config,
+        backbone=init_backbone(config, derive_seed(root, "backbone")),
+        adapters=None,
+        frozen=False,
+    )
+    return pretrain_backbone(
+        state, corpus, cfg.train_pretrain_steps, cfg.train_batch_size,
+        cfg.train_pretrain_lr, derive_seed(root, "pretrain"),
+        cond_dropout=cfg.train_cond_dropout,
+    )
+
+
+# The stage bodies look the package functions up as module globals when
+# called, so a caller that replaces ``pipeline.train`` (say) sees every call.
+
+
+def _datagen(ctx: RunContext) -> None:
+    # train and test corpora share the class profile, not draws
+    cfg = ctx.cfg
+
+    def split(name: str, size: int) -> Corpus:
+        corpus = generate_corpus(
+            class_specs_from_config(cfg, size), cfg.corpus_dimension,
+            derive_seed(ctx.root, f"datagen-{name}"),
+            cfg.corpus_embedding_dim, cfg.corpus_noise_scale,
+        )
+        save_corpus(corpus, ctx.out / f"{name}_corpus.txt")
+        return corpus
+
+    ctx.corpus = split("train", cfg.corpus_size)
+    split("test", cfg.corpus_test_size)
+
+
+def _partition(ctx: RunContext) -> None:
+    cfg, corpus = ctx.cfg, ctx.train_corpus()
+    part = build_partition(
+        corpus, cfg.partition_method, cfg.partition_experts, derive_seed(ctx.root, "partition")
+    )
+    save_partition(part, ctx.out / "partition.txt")
+    report = composition_report(part, corpus)
+    (ctx.out / "composition.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    ctx.partition = part
+
+
+def _train(ctx: RunContext) -> None:
+    cfg, root, out = ctx.cfg, ctx.root, ctx.out
+    corpus, part = ctx.train_corpus(), ctx.expert_partition()
+    state = pretrained_backbone(cfg, corpus, root)
+    state.adapters = init_adapters(
+        state.config, part.num_experts, cfg.adapter_dim, cfg.adapter_placement,
+        cfg.adapter_nonlinearity, derive_seed(root, "adapters"),
+    )
+    trained, ledger, traces = train(
+        state, corpus, part,
+        steps=cfg.train_steps, batch_size=cfg.train_batch_size,
+        resample=cfg.train_resample, lr=cfg.train_lr,
+        seed=derive_seed(root, "train"), quota=cfg.train_quota,
+        cond_dropout=cfg.train_cond_dropout, trace_interval=cfg.train_trace_interval,
+    )
+    save_checkpoint(trained, out / "checkpoint.npz")
+    (out / "ledger.json").write_text(ledger_json(ledger))
+    (out / "conflict_trace.csv").write_text(traces_csv(traces, part.num_experts))
+    ctx.state = trained
+
+
+def _sample(ctx: RunContext) -> None:
+    cfg, corpus = ctx.cfg, ctx.train_corpus()
+    experts = class_to_expert(ctx.expert_partition(), corpus)
+    trained = ctx.trained_state()
+    vectors = []
+    classes = []
+    for spec in corpus.classes:
+        cond = label_embedding(
+            spec.class_id, corpus.num_classes, corpus.seed, corpus.embedding_dim
+        )
+        xs = sample_batch(
+            trained, cond, experts[spec.class_id], cfg.sample_guidance_scale,
+            cfg.sample_steps, cfg.sample_per_class,
+            derive_seed(ctx.root, "sample", spec.class_id),
+        )
+        vectors.append(xs)
+        classes.extend([spec.class_id] * cfg.sample_per_class)
+    save_samples(ctx.out / "generated.txt", np.vstack(vectors), np.array(classes))
+
+
+def _evaluate(ctx: RunContext) -> None:
+    out = ctx.out
+    generated = load_features(out / "generated.txt", tag="generated")
+    train_feats = load_features(out / "train_corpus.txt", tag="train")
+    test_feats = load_features(out / "test_corpus.txt", tag="test")
+    report = evaluate(generated, train_feats, test_feats, k=ctx.cfg.metrics_k)
+    (out / "metrics.json").write_text(report.to_json())
+    (out / "metrics.csv").write_text(report.to_csv())
+
+
+# Run order; each stage writes exactly the files ARTIFACTS names for it.
+STAGES = {
+    "datagen": _datagen,
+    "partition": _partition,
+    "train": _train,
+    "sample": _sample,
+    "evaluate": _evaluate,
+}
+
+
+def _run(ctx: RunContext, manifest: RunManifest, name: str) -> None:
+    started = time.perf_counter()
+    try:
+        STAGES[name](ctx)
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
+    names = ARTIFACTS[name]
+    manifest.stages[name] = {
         "artifacts": {n: n for n in names},
-        "sha256": {n: _sha256(out / n) for n in names},
+        "sha256": {n: hashlib.sha256((ctx.out / n).read_bytes()).hexdigest() for n in names},
         "seconds": time.perf_counter() - started,
     }
+    manifest.save(ctx.out / "manifest.json")
+
+
+def _start(
+    cfg: ExperimentConfig, out_dir: str | Path, seed: int | None
+) -> tuple[RunContext, RunManifest]:
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    root = cfg.root_seed if seed is None else seed
+    manifest = RunManifest(config_hash=cfg.hash(), root_seed=root, out_dir=str(out))
+    return RunContext(cfg, out, root), manifest
 
 
 def run_pipeline(
     cfg: ExperimentConfig, out_dir: str | Path, seed: int | None = None
 ) -> RunManifest:
-    """Run every stage under ``out_dir``; returns (and writes) the manifest."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    root = cfg.root_seed if seed is None else seed
-    manifest = RunManifest(config_hash=cfg.hash(), root_seed=root, out_dir=str(out))
+    """Run every stage under ``out_dir`` into a fresh manifest; returns it."""
+    ctx, manifest = _start(cfg, out_dir, seed)
+    for name in STAGES:
+        _run(ctx, manifest, name)
+    return manifest
 
-    def stage(name, fn):
-        started = time.perf_counter()
-        try:
-            result = fn()
-        except Exception as exc:
-            raise StageError(name, str(exc)) from exc
-        _finish_stage(manifest, out, name, started)
-        return result
 
-    # datagen: train and test corpora share the class profile, not draws
-    def _datagen():
-        train_specs = class_specs_from_config(cfg, cfg.corpus_size)
-        test_specs = class_specs_from_config(cfg, cfg.corpus_test_size)
-        train_corpus = generate_corpus(
-            train_specs, cfg.corpus_dimension, derive_seed(root, "datagen-train"),
-            cfg.corpus_embedding_dim, cfg.corpus_noise_scale,
-        )
-        test_corpus = generate_corpus(
-            test_specs, cfg.corpus_dimension, derive_seed(root, "datagen-test"),
-            cfg.corpus_embedding_dim, cfg.corpus_noise_scale,
-        )
-        save_corpus(train_corpus, out / "train_corpus.txt")
-        save_corpus(test_corpus, out / "test_corpus.txt")
-        return train_corpus, test_corpus
-
-    train_corpus, test_corpus = stage("datagen", _datagen)
-
-    def _partition():
-        part = build_partition(
-            train_corpus, cfg.partition_method, cfg.partition_experts,
-            derive_seed(root, "partition"),
-        )
-        save_partition(part, out / "partition.txt")
-        report = composition_report(part, train_corpus)
-        (out / "composition.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        return part
-
-    part = stage("partition", _partition)
-
-    def _train():
-        config = BackboneConfig(
-            data_dim=cfg.corpus_dimension,
-            hidden_dim=cfg.backbone_hidden_dim,
-            num_blocks=cfg.backbone_blocks,
-            cond_dim=cfg.corpus_embedding_dim,
-            time_embed_dim=cfg.backbone_time_embed_dim,
-        )
-        state = ModelState(
-            config=config,
-            backbone=init_backbone(config, derive_seed(root, "backbone")),
-            adapters=None,
-            frozen=False,
-        )
-        state = pretrain_backbone(
-            state, train_corpus, cfg.train_pretrain_steps, cfg.train_batch_size,
-            cfg.train_pretrain_lr, derive_seed(root, "pretrain"),
-            cond_dropout=cfg.train_cond_dropout,
-        )
-        state.adapters = init_adapters(
-            config, part.num_experts, cfg.adapter_dim, cfg.adapter_placement,
-            cfg.adapter_nonlinearity, derive_seed(root, "adapters"),
-        )
-        trained, ledger, traces = train(
-            state, train_corpus, part,
-            steps=cfg.train_steps, batch_size=cfg.train_batch_size,
-            resample=cfg.train_resample, lr=cfg.train_lr,
-            seed=derive_seed(root, "train"), quota=cfg.train_quota,
-            cond_dropout=cfg.train_cond_dropout, trace_interval=cfg.train_trace_interval,
-        )
-        save_checkpoint(trained, out / "checkpoint.npz")
-        (out / "ledger.json").write_text(ledger_json(ledger))
-        (out / "conflict_trace.csv").write_text(traces_csv(traces, part.num_experts))
-        return trained
-
-    trained = stage("train", _train)
-
-    def _sample():
-        experts = class_to_expert(part, train_corpus)
-        vectors = []
-        classes = []
-        for spec in train_corpus.classes:
-            cond = label_embedding(
-                spec.class_id, train_corpus.num_classes, train_corpus.seed,
-                train_corpus.embedding_dim,
+def run_stage(
+    cfg: ExperimentConfig, out_dir: str | Path, name: str, seed: int | None = None
+) -> RunManifest:
+    """Run one stage, reading its inputs from ``out_dir``, and record it in
+    that directory's manifest. A manifest made with another config or root
+    seed is refused with ``StageError``."""
+    ctx, manifest = _start(cfg, out_dir, seed)
+    path = ctx.out / "manifest.json"
+    if path.exists():
+        recorded = RunManifest.load(path)
+        if (recorded.config_hash, recorded.root_seed) != (manifest.config_hash, ctx.root):
+            raise StageError(
+                name,
+                f"{path} records config {recorded.config_hash[:12]} and seed "
+                f"{recorded.root_seed}; this run has config {manifest.config_hash[:12]} "
+                f"and seed {ctx.root}",
             )
-            xs = sample_batch(
-                trained, cond, experts[spec.class_id], cfg.sample_guidance_scale,
-                cfg.sample_steps, cfg.sample_per_class,
-                derive_seed(root, "sample", spec.class_id),
-            )
-            vectors.append(xs)
-            classes.extend([spec.class_id] * cfg.sample_per_class)
-        save_samples(out / "generated.txt", np.vstack(vectors), np.array(classes))
-
-    stage("sample", _sample)
-
-    def _evaluate():
-        generated = load_features(out / "generated.txt", tag="generated")
-        train_feats = load_features(out / "train_corpus.txt", tag="train")
-        test_feats = load_features(out / "test_corpus.txt", tag="test")
-        report = evaluate(generated, train_feats, test_feats, k=cfg.metrics_k)
-        (out / "metrics.json").write_text(report.to_json())
-        (out / "metrics.csv").write_text(report.to_csv())
-
-    stage("evaluate", _evaluate)
-
-    manifest.save(out / "manifest.json")
+        manifest = recorded
+    _run(ctx, manifest, name)
     return manifest
 
 

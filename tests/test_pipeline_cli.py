@@ -6,8 +6,8 @@ import pytest
 
 from tailflow.cli import main
 from tailflow.config import ExperimentConfig
-from tailflow.errors import SchemaMismatchError
-from tailflow.pipeline import RunManifest, compare_runs, run_pipeline
+from tailflow.errors import SchemaMismatchError, StageError
+from tailflow.pipeline import RunManifest, compare_runs, run_pipeline, run_stage
 
 SMOKE = ExperimentConfig(
     seeds=[42],
@@ -126,7 +126,36 @@ class TestCli:
         rc = main(["pipeline", "--config", str(cfg_path), "--out", str(pipe_out)])
         assert rc == 0
         assert (out / "metrics.json").read_bytes() == (pipe_out / "metrics.json").read_bytes()
+        # the stagewise run records every stage with the pipeline's hashes
+        stagewise = RunManifest.load(out / "manifest.json")
+        piped = RunManifest.load(pipe_out / "manifest.json")
+        assert list(stagewise.stages) == list(piped.stages)
+        assert set(stagewise.stages) == {"datagen", "partition", "train", "sample", "evaluate"}
+        for stage in piped.stages:
+            assert stagewise.stages[stage]["sha256"] == piped.stages[stage]["sha256"], stage
+        assert main(["compare", str(out / "manifest.json"), str(pipe_out / "manifest.json"),
+                     "--out", str(tmp_path / "cmp")]) == 0
         capsys.readouterr()
+
+    def test_stage_refuses_other_config_or_seed(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMOKE_TEXT)
+        out = tmp_path / "work"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--seed", "7", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "stage 'train' failed" in capsys.readouterr().err
+        with pytest.raises(StageError, match="seed 42") as info:
+            run_stage(SMOKE, out, "partition", seed=7)
+        assert info.value.stage == "partition"
+        other = ExperimentConfig(**{**SMOKE.__dict__, "metrics_k": 4, "explicit_classes": {}})
+        with pytest.raises(StageError, match="config") as info:
+            run_stage(other, out, "partition")
+        assert info.value.stage == "partition"
+        assert not (out / "partition.txt").exists()
+        # a pipeline run starts a fresh manifest instead
+        run_pipeline(SMOKE, out, seed=7)
+        assert RunManifest.load(out / "manifest.json").root_seed == 7
 
     def test_analyze_conflicts_emits_table(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -139,6 +168,25 @@ class TestCli:
         methods = [line.split(",")[0] for line in table.strip().splitlines()[1:]]
         assert set(methods) == {"label-tier", "embedding-kmeans", "random", "single"}
         capsys.readouterr()
+
+    def test_analyze_conflicts_reports_skipped_methods(self, tmp_path, capsys):
+        classes = {}
+        for cid, (mean, count) in enumerate([((0.0, 0.0), 80), ((3.0, 0.0), 40),
+                                             ((0.0, 3.0), 20), ((3.0, 3.0), 10)]):
+            classes.update({f"class.{cid}.mean": list(mean), f"class.{cid}.scale": 0.5,
+                            f"class.{cid}.count": count})
+        no_healthy = ExperimentConfig(**{**SMOKE.__dict__, "explicit_classes": classes})
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(no_healthy.to_text())
+        out = tmp_path / "work"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["analyze-conflicts", "--config", str(cfg_path), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "skipped label-tier: " in err and "healthy" in err
+        table = (out / "conflict_comparison.csv").read_text()
+        methods = [line.split(",")[0] for line in table.strip().splitlines()[1:]]
+        assert methods == ["embedding-kmeans", "random", "single"]
 
     def test_compare_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
