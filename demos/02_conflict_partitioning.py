@@ -23,7 +23,7 @@ partitions = {
     "single (K=1)": single_partition(corpus),
     "random (K=4)": random_partition(corpus, 4, seed=0),
     "label tiers (K=4)": label_tier_partition(corpus, 4),
-    "bisecting k-means (K=4)": bisecting_kmeans_partition(corpus, 4, seed=0),
+    "bisecting k-means (K=4)": bisecting_kmeans_partition(corpus, 4),
 }
 
 print("within-cluster embedding conflict (lower is better):")
@@ -41,7 +41,7 @@ for k, info in report["experts"].items():
 
 print()
 print("bisecting k-means descends the objective one split at a time:")
-_, history = bisecting_kmeans_partition(corpus, 6, seed=0, return_history=True)
+_, history = bisecting_kmeans_partition(corpus, 6, return_history=True)
 for i, value in enumerate(history):
     print(f"  {i} cluster(s) split: objective {value:.4f}")
 assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
@@ -49,7 +49,7 @@ assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 print()
 print("with jitter-free embeddings, k-means recovers the label partition:")
 clean = generate_corpus(chest_longtail_specs(400), 2, seed=3, noise_scale=0.0)
-km = bisecting_kmeans_partition(clean, clean.num_classes, seed=0)
+km = bisecting_kmeans_partition(clean, clean.num_classes)
 cls = clean.class_ids()
 pure = all(len({int(c) for c in cls[km.members(k)]}) == 1 for k in range(km.num_experts))
 print(f"  every cluster is a single class: {pure}")

@@ -13,6 +13,14 @@ per-sample gradient vectors. Partitioners provided:
 
 Tie-breaking everywhere prefers the lowest sample/class/expert id, so every
 partitioner is bit-reproducible.
+
+Conflict is computed in closed form, with no m x m Gram matrix: for unit
+rows u_1..u_m the mean pairwise conflict is
+1 - (|sum u_i|^2 - sum |u_i|^2) / (m (m - 1)), as for the concept vectors of
+spherical k-means, so scoring, the objective and the peel step cost O(m E).
+Only the 2-means seed pair needs every pair; it is scanned in blocks of
+``_PAIR_BLOCK`` rows, so bisecting k-means holds O(N E + _PAIR_BLOCK N)
+memory.
 """
 
 from __future__ import annotations
@@ -126,22 +134,25 @@ def _normalized_rows(vectors: np.ndarray, what: str) -> np.ndarray:
     return vectors / norms[:, None]
 
 
-def _cluster_conflicts(
-    unit: np.ndarray, assignments: np.ndarray, num_clusters: int
-) -> ConflictScore:
+def _mean_conflict(unit: np.ndarray) -> float:
+    """Mean ``1 - cos`` over the unordered pairs of ``unit``'s m >= 2 rows.
+    The diagonal is taken out as the rows' squared norms, not as m."""
+    m = len(unit)
+    total = unit.sum(axis=0)
+    return float(1.0 - (total @ total - np.einsum("ij,ij->", unit, unit)) / (m * (m - 1)))
+
+
+def _cluster_conflicts(unit: np.ndarray, clusters: list[np.ndarray]) -> ConflictScore:
     per_cluster: list[float] = []
     weighted = 0.0
     total_pairs = 0
-    for k in range(num_clusters):
-        members = np.flatnonzero(assignments == k)
+    for members in clusters:
         m = len(members)
         if m < 2:
             per_cluster.append(0.0)
             continue
-        gram = unit[members] @ unit[members].T
-        off_diag_sum = (gram.sum() - np.trace(gram)) / 2.0
         pairs = m * (m - 1) // 2
-        value = float(np.clip(1.0 - off_diag_sum / pairs, 0.0, 2.0))
+        value = float(np.clip(_mean_conflict(unit[members]), 0.0, 2.0))
         per_cluster.append(value)
         weighted += value * pairs
         total_pairs += pairs
@@ -173,7 +184,7 @@ def partition_conflict(
     else:
         raise ValueError(f"unknown feature source {features!r}")
     unit = _normalized_rows(np.asarray(vectors, dtype=np.float64), features)
-    return _cluster_conflicts(unit, partition.assignments, partition.num_experts)
+    return _cluster_conflicts(unit, [partition.members(k) for k in range(partition.num_experts)])
 
 
 def _tier_boundaries(counts: list[int], tiers: int) -> list[int]:
@@ -235,21 +246,30 @@ def label_tier_partition(corpus: Corpus, num_experts: int = 4) -> Partition:
     return _build(corpus, assignments, num_experts, METHOD_LABEL_TIER)
 
 
-def _max_conflict_pair(gram: np.ndarray) -> tuple[int, int]:
-    """Indices of the most-conflicting pair; first occurrence in row-major
-    order wins (lowest i, then lowest j)."""
-    n = gram.shape[0]
-    conf = 1.0 - gram
-    conf[np.tril_indices(n)] = -np.inf
-    i, j = np.unravel_index(int(np.argmax(conf)), conf.shape)
-    return int(i), int(j)
+_PAIR_BLOCK = 256  # rows per block of the seed-pair scan: a block x n working set
+
+
+def _max_conflict_pair(unit: np.ndarray) -> tuple[int, int]:
+    """Indices i < j of the most-conflicting pair of rows; first occurrence
+    in row-major order wins (lowest i, then lowest j)."""
+    n = unit.shape[0]
+    best, best_i, best_j = -np.inf, 0, 1
+    for start in range(0, n - 1, _PAIR_BLOCK):
+        stop = min(start + _PAIR_BLOCK, n)
+        conf = 1.0 - unit[start:stop] @ unit[start:].T
+        conf[np.tri(stop - start, n - start, dtype=bool)] = -np.inf  # j <= i
+        flat = int(np.argmax(conf))
+        if conf.flat[flat] > best:  # strict: an earlier block keeps a tie
+            best = conf.flat[flat]
+            r, c = divmod(flat, n - start)
+            best_i, best_j = start + r, start + c
+    return best_i, best_j
 
 
 def _two_means_cosine(unit: np.ndarray, max_iters: int) -> np.ndarray:
     """Cosine 2-means seeded at the maximal-conflict pair. Returns 0/1 labels."""
     n = unit.shape[0]
-    gram = unit @ unit.T
-    i, j = _max_conflict_pair(gram)
+    i, j = _max_conflict_pair(unit)
     centroids = np.stack([unit[i], unit[j]])
     labels: np.ndarray | None = None
     for _ in range(max_iters):
@@ -271,31 +291,22 @@ def _two_means_cosine(unit: np.ndarray, max_iters: int) -> np.ndarray:
     return labels
 
 
-def _objective(unit: np.ndarray, clusters: list[np.ndarray]) -> float:
-    assignments = np.empty(unit.shape[0], dtype=np.int64)
-    for k, members in enumerate(clusters):
-        assignments[members] = k
-    return _cluster_conflicts(unit, assignments, len(clusters)).overall
-
-
 def bisecting_kmeans_partition(
     corpus: Corpus,
     num_experts: int,
-    seed: int = 0,
     max_iters: int = 50,
     return_history: bool = False,
 ) -> Partition | tuple[Partition, list[float]]:
     """Bisect the most-conflicting cluster with cosine 2-means until
     ``num_experts`` clusters exist.
 
-    The algorithm is deterministic (the seed only names the run): 2-means is
-    seeded at the maximal-conflict pair within the cluster being split. A
-    split is accepted only if the overall objective does not increase; the
-    fallback peels off the single highest-conflict sample, which provably
-    never increases the pair-weighted objective. ``return_history`` also
-    returns the objective after every bisection.
+    The algorithm is deterministic and takes no seed: 2-means is seeded at
+    the maximal-conflict pair within the cluster being split. A split is
+    accepted only if the overall objective does not increase; the fallback
+    peels off the single highest-conflict sample, which provably never
+    increases the pair-weighted objective. ``return_history`` also returns
+    the objective after every bisection.
     """
-    del seed  # deterministic initialization; kept for interface stability
     n = len(corpus)
     if num_experts < 1:
         raise ValueError("num_experts must be >= 1")
@@ -304,36 +315,31 @@ def bisecting_kmeans_partition(
 
     unit = _normalized_rows(corpus.embedding_matrix(), "embedding")
     clusters: list[np.ndarray] = [np.arange(n)]
-    history = [_objective(unit, clusters)]
+    history = [_cluster_conflicts(unit, clusters).overall]
 
     while len(clusters) < num_experts:
-        splittable = [idx for idx, c in enumerate(clusters) if len(c) >= 2]
-        scored = []
-        for idx in splittable:
-            members = clusters[idx]
-            gram = unit[members] @ unit[members].T
-            m = len(members)
-            pairs = m * (m - 1) / 2.0
-            value = 1.0 - (gram.sum() - np.trace(gram)) / 2.0 / pairs
-            scored.append((-value, -m, int(members[0]), idx))
-        scored.sort()
-        target_idx = scored[0][3]
+        # the most-conflicting cluster; ties -> larger, then lower first id
+        scored = [
+            (-_mean_conflict(unit[c]), -len(c), int(c[0]), idx)
+            for idx, c in enumerate(clusters) if len(c) >= 2
+        ]
+        target_idx = min(scored)[3]
         members = clusters[target_idx]
 
         labels = _two_means_cosine(unit[members], max_iters)
         left, right = members[labels == 0], members[labels == 1]
         candidate = clusters[:target_idx] + clusters[target_idx + 1 :] + [left, right]
-        new_obj = _objective(unit, candidate)
+        new_obj = _cluster_conflicts(unit, candidate).overall
         if new_obj > history[-1] + 1e-12:
             # peel the sample with the largest mean conflict to the rest;
             # this never increases the pair-weighted objective
-            gram = unit[members] @ unit[members].T
-            row_mean = (1.0 - gram).sum(axis=1) / (len(members) - 1)
+            rows = unit[members]
+            row_mean = (len(members) - rows @ rows.sum(axis=0)) / (len(members) - 1)
             worst = int(np.argmax(row_mean))
             left = np.delete(members, worst)
             right = members[worst : worst + 1]
             candidate = clusters[:target_idx] + clusters[target_idx + 1 :] + [left, right]
-            new_obj = _objective(unit, candidate)
+            new_obj = _cluster_conflicts(unit, candidate).overall
         clusters = candidate
         history.append(new_obj)
 
@@ -430,5 +436,9 @@ def load_partition(path: str | Path, corpus: Corpus) -> Partition:
         raise ValueError(f"{path}: missing method/experts header")
     assignments = np.full(len(pairs), -1, dtype=np.int64)
     for sid, k in pairs:
+        if not 0 <= sid < len(pairs):
+            raise ValueError(f"{path}: sample id {sid} out of range [0, {len(pairs)})")
+        if assignments[sid] != -1:
+            raise ValueError(f"{path}: duplicated sample id {sid}")
         assignments[sid] = k
     return _build(corpus, assignments, num_experts, method)

@@ -83,6 +83,8 @@ class RunManifest:
     format_version: int = MANIFEST_VERSION
 
     def artifact(self, stage: str, name: str) -> Path:
+        if stage not in self.stages:
+            raise ValueError(f"{Path(self.out_dir, 'manifest.json')}: stage {stage!r} has not run")
         return Path(self.out_dir) / self.stages[stage]["artifacts"][name]
 
     def to_json(self) -> str:
@@ -115,7 +117,7 @@ def build_partition(corpus: Corpus, method: str, num_experts: int, seed: int) ->
     if method == "label-tier":
         return label_tier_partition(corpus, num_experts)
     if method == "embedding-kmeans":
-        return bisecting_kmeans_partition(corpus, num_experts, seed=seed)
+        return bisecting_kmeans_partition(corpus, num_experts)
     if method == "random":
         return random_partition(corpus, num_experts, seed)
     if method == "single":

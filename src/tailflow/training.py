@@ -34,7 +34,7 @@ from .model import (
     per_sample_probe_gradients,
     sgd_step,
 )
-from .partition import ConflictScore, Partition
+from .partition import ConflictScore, Partition, _mean_conflict
 from .seeding import derive_seed, rng_for
 
 __all__ = [
@@ -201,17 +201,13 @@ def _mean_pairwise_conflict(rows: np.ndarray) -> float:
     norms = np.linalg.norm(rows, axis=1)
     if np.any(norms == 0.0):
         raise DegenerateInputError("all-zero probe gradient")
-    unit = rows / norms[:, None]
-    m = len(rows)
-    gram = unit @ unit.T
-    return float(np.clip(1.0 - (gram.sum() - np.trace(gram)) / (m * (m - 1)), 0.0, 2.0))
+    return float(np.clip(_mean_conflict(rows / norms[:, None]), 0.0, 2.0))
 
 
 def _conflict_trace(
     probe: ModelState, corpus: Corpus, partition: Partition, step: int,
     probe_size: int, t_draws: np.ndarray, x0_draws: np.ndarray, seed: int,
 ) -> ConflictTrace:
-    per_cluster: list[float] = []
     chosen: list[np.ndarray] = []
     for k in range(partition.num_experts):
         members = partition.members(k)
@@ -223,24 +219,16 @@ def _conflict_trace(
             chosen.append(members)
     all_ids = np.concatenate([c for c in chosen if len(c)]) if chosen else np.array([], int)
     rows = _gradient_rows(probe, corpus, all_ids, t_draws, x0_draws)
-    by_id = {int(s): rows[i] for i, s in enumerate(all_ids)}
-
-    for k in range(partition.num_experts):
-        ids = chosen[k]
-        if len(ids) < 2:
-            per_cluster.append(0.0)
-        else:
-            per_cluster.append(_mean_pairwise_conflict(np.stack([by_id[int(s)] for s in ids])))
-
-    cluster_of = {int(s): int(partition.assignments[s]) for s in all_ids}
-    cross_vals = []
-    unit = rows / np.linalg.norm(rows, axis=1)[:, None]
-    gram = unit @ unit.T
-    for i in range(len(all_ids)):
-        for j in range(i + 1, len(all_ids)):
-            if cluster_of[int(all_ids[i])] != cluster_of[int(all_ids[j])]:
-                cross_vals.append(1.0 - gram[i, j])
-    cross = float(np.clip(np.mean(cross_vals), 0.0, 2.0)) if cross_vals else 0.0
+    # all_ids lists the chosen members cluster by cluster
+    blocks = np.split(rows, np.cumsum([len(c) for c in chosen])[:-1])
+    per_cluster = [_mean_pairwise_conflict(b) if len(b) >= 2 else 0.0 for b in blocks]
+    # cross-cluster pairs are all pairs minus within-cluster pairs
+    all_pairs = len(rows) * (len(rows) - 1) / 2
+    within = [len(b) * (len(b) - 1) / 2 for b in blocks]
+    cross = 0.0
+    if all_pairs > sum(within):
+        cross_sum = all_pairs * _mean_pairwise_conflict(rows) - np.dot(within, per_cluster)
+        cross = float(np.clip(cross_sum / (all_pairs - sum(within)), 0.0, 2.0))
     return ConflictTrace(step=step, per_cluster_conflict=per_cluster, cross_cluster_conflict=cross)
 
 

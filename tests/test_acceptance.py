@@ -233,7 +233,7 @@ def test_criterion_5_conflict_reduction_premise():
         wins += label_score.overall < random_score.overall
 
     zero_noise = generate_corpus(chest_longtail_specs(400), 2, seed=16, noise_scale=0.0)
-    km = bisecting_kmeans_partition(zero_noise, zero_noise.num_classes, seed=0)
+    km = bisecting_kmeans_partition(zero_noise, zero_noise.num_classes)
     cls = zero_noise.class_ids()
     pure = all(len({int(c) for c in cls[km.members(k)]}) == 1 for k in range(km.num_experts))
     ok = wins == 10 and pure
@@ -243,11 +243,11 @@ def test_criterion_5_conflict_reduction_premise():
 
 def test_criterion_6_bisection_monotonicity_and_optimum():
     noisy = generate_corpus(chest_longtail_specs(500), 2, seed=17, noise_scale=0.15)
-    _, history = bisecting_kmeans_partition(noisy, 6, seed=0, return_history=True)
+    _, history = bisecting_kmeans_partition(noisy, 6, return_history=True)
     monotone = all(history[i + 1] <= history[i] + 1e-12 for i in range(len(history) - 1))
 
     blobs = generate_corpus(blob_specs(4, 6), 2, seed=18)
-    part, hist4 = bisecting_kmeans_partition(blobs, 4, seed=0, return_history=True)
+    part, hist4 = bisecting_kmeans_partition(blobs, 4, return_history=True)
     monotone &= all(hist4[i + 1] <= hist4[i] + 1e-12 for i in range(len(hist4) - 1))
     emb = blobs.embedding_matrix()
     cls = blobs.class_ids()

@@ -1,9 +1,14 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import tailflow.partition as partition_mod
 from oracles import mean_pairwise_conflict_brute, partition_objective_brute
 from tailflow.datagen import ClassSpec, blob_specs, chest_longtail_specs, generate_corpus
 from tailflow.errors import DegenerateInputError, InsufficientDataError
@@ -129,6 +134,22 @@ class TestPartitionConflict:
         with pytest.raises(ValueError):
             partition_conflict(corpus, part, features="gradients", gradients=grads)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_closed_form_matches_brute_force(self, data):
+        n = data.draw(st.integers(2, 24), label="n")
+        k = data.draw(st.integers(1, 5), label="k")
+        nonzero = st.floats(0.01, 10.0) | st.floats(-10.0, -0.01)
+        rows = data.draw(hnp.arrays(np.float64, (n, data.draw(st.integers(1, 6))), elements=nonzero))
+        assignments = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        corpus = make_corpus([ClassSpec(class_id=0, mean=(0.0, 0.0), scale=1.0, count=n)])
+        part = Partition(assignments=assignments, num_experts=k, method="random", composition=[])
+        grads = {s.sample_id: rows[i] for i, s in enumerate(corpus.samples)}
+        score = partition_conflict(corpus, part, features="gradients", gradients=grads)
+        assert score.overall == pytest.approx(
+            partition_objective_brute(rows, assignments, k), abs=1e-12
+        )
+
 
 class TestLabelTiers:
     def test_healthy_class_isolated_in_last_expert(self):
@@ -195,17 +216,17 @@ class TestLabelTiers:
 class TestBisectingKMeans:
     def test_k1_is_single_cluster(self):
         corpus = make_corpus(blob_specs(3, 5))
-        part = bisecting_kmeans_partition(corpus, 1, seed=0)
+        part = bisecting_kmeans_partition(corpus, 1)
         assert np.all(part.assignments == 0)
 
     def test_k_equals_corpus_size_gives_singletons(self):
         corpus = make_corpus(blob_specs(3, 2), seed=4)
-        part = bisecting_kmeans_partition(corpus, 6, seed=0)
+        part = bisecting_kmeans_partition(corpus, 6)
         assert sorted(part.expert_sizes()) == [1] * 6
 
     def test_four_blobs_recovered_and_optimal(self):
         corpus = make_corpus(blob_specs(4, 6), seed=9)
-        part, history = bisecting_kmeans_partition(corpus, 4, seed=0, return_history=True)
+        part, history = bisecting_kmeans_partition(corpus, 4, return_history=True)
         # clusters coincide with blobs
         cls = corpus.class_ids()
         for k in range(4):
@@ -223,7 +244,7 @@ class TestBisectingKMeans:
 
     def test_zero_noise_recovers_class_partition(self):
         corpus = generate_corpus(chest_longtail_specs(300), 2, seed=3, noise_scale=0.0)
-        part = bisecting_kmeans_partition(corpus, corpus.num_classes, seed=0)
+        part = bisecting_kmeans_partition(corpus, corpus.num_classes)
         cls = corpus.class_ids()
         for k in range(part.num_experts):
             members = part.members(k)
@@ -233,7 +254,36 @@ class TestBisectingKMeans:
     def test_k_larger_than_corpus_rejected(self):
         corpus = make_corpus(blob_specs(2, 2))
         with pytest.raises(InsufficientDataError):
-            bisecting_kmeans_partition(corpus, 5, seed=0)
+            bisecting_kmeans_partition(corpus, 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 2 * partition_mod._PAIR_BLOCK + 40),
+        distinct=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=partition_mod._PAIR_BLOCK + 1, distinct=2, seed=0)
+    @example(n=2 * partition_mod._PAIR_BLOCK, distinct=3, seed=1)
+    def test_blocked_max_conflict_pair_matches_dense(self, n, distinct, seed):
+        # few distinct small-integer rows: many exact ties, exact dot products
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(-2, 3, size=(distinct, 3)).astype(np.float64)
+        rows = pool[rng.integers(0, distinct, size=n)]
+        conf = 1.0 - rows @ rows.T
+        conf[np.tril_indices(n)] = -np.inf
+        i, j = np.unravel_index(int(np.argmax(conf)), conf.shape)
+        assert partition_mod._max_conflict_pair(rows) == (int(i), int(j))
+
+    def test_memory_stays_linear_in_corpus_size(self):
+        # an N x N float64 Gram matrix alone would take 275 MB here
+        corpus = make_corpus(chest_longtail_specs(6000), seed=0)
+        tracemalloc.start()
+        try:
+            bisecting_kmeans_partition(corpus, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestRandomPartition:
@@ -291,3 +341,21 @@ def test_composition_report_and_round_trip(tmp_path):
     loaded = load_partition(path, corpus)
     assert np.array_equal(part.assignments, loaded.assignments)
     assert loaded.method == part.method and loaded.num_experts == part.num_experts
+
+
+@pytest.mark.parametrize(
+    "bad_id, message",
+    [(3, "duplicated sample id 3"), (-1, "sample id -1 out of range"),
+     (None, "sample id {n} out of range")],
+)
+def test_load_partition_rejects_bad_sample_ids(tmp_path, bad_id, message):
+    corpus = make_corpus(chest_longtail_specs(400))
+    n = len(corpus)
+    path = tmp_path / "partition.txt"
+    save_partition(label_tier_partition(corpus, 4), path)
+    lines = path.read_text().splitlines()
+    lines[-1] = f"{n if bad_id is None else bad_id} 1"  # replaces the last sample's line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message.format(n=n)) as info:
+        load_partition(path, corpus)
+    assert str(path) in str(info.value)

@@ -201,6 +201,19 @@ class TestCli:
         assert len(table.strip().splitlines()) == 3
         capsys.readouterr()
 
+    def test_compare_names_the_stage_an_unfinished_run_lacks(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMOKE_TEXT)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(a)]) == 0
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(b)]) == 0
+        capsys.readouterr()
+        rc = main(["compare", str(a / "manifest.json"), str(b / "manifest.json"),
+                   "--out", str(tmp_path / "cmp")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'evaluate'" in err and str(a / "manifest.json") in err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["not-a-command"]) == 1
         assert main(["generate"]) == 1  # missing required flags

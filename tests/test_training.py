@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import tailflow.training as training
+from oracles import mean_pairwise_conflict_brute
+
 from tailflow.datagen import ClassSpec, chest_longtail_specs, generate_corpus, tail8_specs
 from tailflow.errors import ContractViolationError
 from tailflow.model import BackboneConfig, ModelState, init_adapters, init_backbone
@@ -215,6 +218,34 @@ class TestConflictMeasurement:
                 state, corpus, [partition, rnd], probe_size=8, seed=seed
             )
             assert label_score.overall < random_score.overall
+
+    def test_conflict_trace_matches_brute_force(self, corpus, monkeypatch):
+        # random stand-in gradient rows; cluster 3 has a single member
+        assignments = np.arange(len(corpus)) % 3
+        assignments[0] = 3
+        part = label_tier_partition(corpus, 4)
+        part.assignments = assignments
+        drawn = {}
+
+        def fake_rows(probe, corpus, ids, t_draws, x0_draws, cache=None):
+            drawn["ids"] = ids
+            drawn["rows"] = rng_for(0, "fake-rows").standard_normal((len(ids), 5))
+            return drawn["rows"]
+
+        monkeypatch.setattr(training, "_gradient_rows", fake_rows)
+        trace = training._conflict_trace(None, corpus, part, 1, 6, None, None, seed=0)
+        ids, rows = drawn["ids"], drawn["rows"]
+        labels = assignments[ids]
+        for k in range(3):
+            assert trace.per_cluster_conflict[k] == pytest.approx(
+                mean_pairwise_conflict_brute(rows[labels == k]), abs=1e-12
+            )
+        assert trace.per_cluster_conflict[3] == 0.0
+        cross = [
+            1.0 - rows[i] @ rows[j] / (np.linalg.norm(rows[i]) * np.linalg.norm(rows[j]))
+            for i in range(len(ids)) for j in range(i + 1, len(ids)) if labels[i] != labels[j]
+        ]
+        assert trace.cross_cluster_conflict == pytest.approx(np.mean(cross), abs=1e-12)
 
     def test_scores_are_deterministic(self, corpus, partition):
         state = make_state(corpus)
