@@ -185,12 +185,17 @@ def text_embedding_surrogate(
     With noise_scale = 0 this equals the class label embedding exactly.
     Deterministic per (sample_id, seed).
     """
+    return _jittered(_unit_class_vector(sample.class_id, seed, dim), noise_scale, seed,
+                     sample.sample_id)
+
+
+def _jittered(base: np.ndarray, noise_scale: float, seed: int, sample_id: int) -> np.ndarray:
+    """A new array: ``base`` plus the sample's own Gaussian jitter stream."""
     if noise_scale < 0:
         raise ValueError(f"noise_scale must be >= 0, got {noise_scale}")
-    base = _unit_class_vector(sample.class_id, seed, dim)
     if noise_scale == 0:
-        return base
-    jitter = rng_for(seed, "embedding-jitter", sample.sample_id).standard_normal(dim)
+        return base.copy()
+    jitter = rng_for(seed, "embedding-jitter", sample_id).standard_normal(len(base))
     return base + noise_scale * jitter
 
 
@@ -217,10 +222,10 @@ def generate_corpus(
         mean = np.asarray(c.mean, dtype=np.float64)
         draws = rng_for(seed, "class-draw", c.class_id).standard_normal((c.count, dimension))
         xs = mean[None, :] + c.scale * draws
+        base = _unit_class_vector(c.class_id, seed, embedding_dim)
         for i in range(c.count):
-            rec = SampleRecord(sample_id=sid, x=xs[i], class_id=c.class_id, embedding=None)
-            rec.embedding = text_embedding_surrogate(rec, noise_scale, seed, embedding_dim)
-            samples.append(rec)
+            embedding = _jittered(base, noise_scale, seed, sid)
+            samples.append(SampleRecord(sid, xs[i], c.class_id, embedding))
             sid += 1
     corpus = Corpus(
         samples=samples,

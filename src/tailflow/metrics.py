@@ -9,6 +9,14 @@ Distances are plain Euclidean, computed as ``sqrt(sum((a - b)**2))`` both in
 the vectorized paths and in the brute-force reference loops the tests use,
 so the two paths agree exactly (not just within tolerance). At desk scale
 the "features" are the data vectors themselves.
+
+``evaluate`` builds three distance matrices and reads every value of its
+report from them: train x train (diagonal set to inf once, for the k-NN
+radii), train x generated (coverage; its transpose is generated x train,
+since ``(a - b)**2`` equals ``(b - a)**2`` exactly) and generated x test.
+Each per-class row reads ``np.ix_`` slices of the same three matrices. The
+public metric functions and ``evaluate`` share one implementation of each
+metric, written on distance matrices.
 """
 
 from __future__ import annotations
@@ -87,21 +95,55 @@ def _require_nonempty(*sets: FeatureSet) -> None:
             raise InsufficientDataError(f"empty {s.tag} feature set")
 
 
+_ROW_BLOCK = 256  # rows per block of _distance_matrix: a block x m x F temporary
+
+
 def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    """Euclidean distances between the rows of ``a`` and ``b``, built
+    ``_ROW_BLOCK`` rows of ``a`` at a time. Each entry is reduced over the
+    same contiguous F axis as one full broadcast would be, so the values do
+    not depend on the blocking."""
+    out = np.empty((len(a), len(b)))
+    for start in range(0, len(a), _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        diff = a[start:stop, None, :] - b[None, :, :]
+        diff *= diff
+        diff.sum(axis=2, out=out[start:stop])
+        np.sqrt(out[start:stop], out=out[start:stop])
+    return out
 
 
-def knn_radii(fset: FeatureSet, k: int) -> np.ndarray:
-    """Distance from each member to its k-th nearest other member."""
-    n = len(fset)
+def _knn_radii(self_dists: np.ndarray, k: int) -> np.ndarray:
+    """k-th smallest entry of each row of a set's self-distance matrix whose
+    diagonal is inf: the distance to the k-th nearest other member."""
+    n = len(self_dists)
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < k + 1:
         raise InsufficientDataError(f"need at least {k + 1} points for k = {k}, have {n}")
+    return np.partition(self_dists, k - 1, axis=1)[:, k - 1]
+
+
+def _coverage(radii: np.ndarray, real_to_gen: np.ndarray) -> float:
+    """Fraction of real rows with some generated point within their radius."""
+    return float((real_to_gen.min(axis=1) <= radii).mean())
+
+
+def _nearest_ids(gen_to_ref: np.ndarray, ref_ids: np.ndarray) -> np.ndarray:
+    """1-NN reference id of each generated row; the first minimum wins."""
+    return ref_ids[np.argmin(gen_to_ref, axis=1)]
+
+
+def _irs(gen_to_ref: np.ndarray, ref_ids: np.ndarray) -> float:
+    """Fraction of reference ids retrieved as some generated row's 1-NN."""
+    return len(np.unique(_nearest_ids(gen_to_ref, ref_ids))) / len(ref_ids)
+
+
+def knn_radii(fset: FeatureSet, k: int) -> np.ndarray:
+    """Distance from each member to its k-th nearest other member."""
     dists = _distance_matrix(fset.vectors, fset.vectors)
     np.fill_diagonal(dists, np.inf)
-    return np.partition(dists, k - 1, axis=1)[:, k - 1]
+    return _knn_radii(dists, k)
 
 
 def knn_radius(x: np.ndarray, fset: FeatureSet, k: int) -> float:
@@ -124,23 +166,19 @@ def coverage(real: FeatureSet, generated: FeatureSet, k: int = DEFAULT_K) -> flo
     """Fraction of real points whose k-NN-radius ball contains at least one
     generated point."""
     _require_nonempty(real, generated)
-    radii = knn_radii(real, k)
-    cross = _distance_matrix(real.vectors, generated.vectors)
-    covered = cross.min(axis=1) <= radii
-    return float(covered.mean())
+    return _coverage(knn_radii(real, k), _distance_matrix(real.vectors, generated.vectors))
 
 
 def retrieval_ids(generated: FeatureSet, reference: FeatureSet) -> np.ndarray:
     """1-NN reference id for each generated vector (first minimum wins)."""
     _require_nonempty(generated, reference)
-    cross = _distance_matrix(generated.vectors, reference.vectors)
-    return reference.ids[np.argmin(cross, axis=1)]
+    return _nearest_ids(_distance_matrix(generated.vectors, reference.vectors), reference.ids)
 
 
 def irs(generated: FeatureSet, reference: FeatureSet) -> float:
     """Fraction of reference ids retrieved as some generated vector's 1-NN."""
-    retrieved = retrieval_ids(generated, reference)
-    return len(np.unique(retrieved)) / len(reference)
+    _require_nonempty(generated, reference)
+    return _irs(_distance_matrix(generated.vectors, reference.vectors), reference.ids)
 
 
 def adjusted_score(test_score: float, train_score: float) -> float:
@@ -226,7 +264,8 @@ class MetricReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(self.to_json_dict(), sort_keys=True, indent=2, allow_nan=False)
+        return text + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -255,6 +294,30 @@ def _classes_of(fset: FeatureSet, class_map: Mapping[tuple[str, int], int] | Non
     return fset.classes
 
 
+def _row(
+    train_train: np.ndarray,
+    train_gen: np.ndarray,
+    gen_test: np.ndarray,
+    train: FeatureSet,
+    generated: FeatureSet,
+    test_ids: np.ndarray,
+    k: int,
+) -> dict[str, float | None]:
+    """One report row, read from the set's three distance matrices (train x
+    train with an inf diagonal, train x generated, generated x test)."""
+    row: dict[str, float | None] = {
+        "coverage": _coverage(_knn_radii(train_train, k), train_gen),
+        "irs_train": _irs(train_gen.T, train.ids),
+        "irs_test": None,
+        "irs_adjusted": None,
+        "frechet": frechet_distance(train, generated) if len(generated) >= 2 else None,
+    }
+    if len(test_ids) > 0:
+        row["irs_test"] = _irs(gen_test, test_ids)
+        row["irs_adjusted"] = adjusted_score(row["irs_test"], row["irs_train"])
+    return row
+
+
 def evaluate(
     generated: FeatureSet,
     real_train: FeatureSet,
@@ -276,40 +339,32 @@ def evaluate(
     train_cls = _classes_of(real_train, class_map)
     test_cls = _classes_of(real_test, class_map)
 
+    train_train = _distance_matrix(real_train.vectors, real_train.vectors)
+    np.fill_diagonal(train_train, np.inf)
+    train_gen = _distance_matrix(real_train.vectors, generated.vectors)
+    gen_test = _distance_matrix(generated.vectors, real_test.vectors)
+
     report = MetricReport(
-        coverage=coverage(real_train, generated, k),
-        irs_train=irs(generated, real_train),
-        irs_test=irs(generated, real_test),
-        irs_adjusted=irs_adjusted(generated, real_train, real_test),
-        frechet=frechet_distance(real_train, generated) if len(generated) >= 2 else None,
+        **_row(train_train, train_gen, gen_test, real_train, generated, real_test.ids, k),
         k=k,
         metadata={"distance": "euclidean", "coverage_reference": "train"},
     )
 
     all_classes = sorted(set(train_cls.tolist()) | set(gen_cls.tolist()) | set(test_cls.tolist()))
     for c in all_classes:
-        train_c = real_train.subset(train_cls == c)
-        gen_c = generated.subset(gen_cls == c)
-        test_c = real_test.subset(test_cls == c)
-        if len(train_c) < k + 1:
-            report.skipped[c] = f"fewer than k+1={k + 1} train members ({len(train_c)})"
+        tr = np.flatnonzero(train_cls == c)
+        ge = np.flatnonzero(gen_cls == c)
+        te = np.flatnonzero(test_cls == c)
+        if len(tr) < k + 1:
+            report.skipped[c] = f"fewer than k+1={k + 1} train members ({len(tr)})"
             continue
-        if len(gen_c) == 0:
+        if len(ge) == 0:
             report.skipped[c] = "no generated samples"
             continue
-        row: dict[str, float | None] = {
-            "coverage": coverage(train_c, gen_c, k),
-            "irs_train": irs(gen_c, train_c),
-            "irs_test": None,
-            "irs_adjusted": None,
-            "frechet": None,
-        }
-        if len(test_c) > 0:
-            row["irs_test"] = irs(gen_c, test_c)
-            row["irs_adjusted"] = adjusted_score(row["irs_test"], row["irs_train"])
-        if len(gen_c) >= 2:
-            row["frechet"] = frechet_distance(train_c, gen_c)
-        report.per_class[c] = row
+        report.per_class[c] = _row(
+            train_train[np.ix_(tr, tr)], train_gen[np.ix_(tr, ge)], gen_test[np.ix_(ge, te)],
+            real_train.subset(tr), generated.subset(ge), real_test.ids[te], k,
+        )
 
     for f in _FIELDS:
         values = [row[f] for row in report.per_class.values() if row[f] is not None]

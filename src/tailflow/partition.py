@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -142,17 +143,23 @@ def _mean_conflict(unit: np.ndarray) -> float:
     return float(1.0 - (total @ total - np.einsum("ij,ij->", unit, unit)) / (m * (m - 1)))
 
 
-def _cluster_conflicts(unit: np.ndarray, clusters: list[np.ndarray]) -> ConflictScore:
+def _cluster_conflict(unit: np.ndarray) -> float:
+    """Mean conflict of one cluster's unit rows, clipped to [0, 2]; 0 for
+    fewer than two rows."""
+    if len(unit) < 2:
+        return 0.0
+    return float(np.clip(_mean_conflict(unit), 0.0, 2.0))
+
+
+def _cluster_conflicts(blocks: Iterable[np.ndarray]) -> ConflictScore:
+    """Per-cluster conflict of each block of unit rows, and their mean
+    weighted by within-cluster pair count."""
     per_cluster: list[float] = []
     weighted = 0.0
     total_pairs = 0
-    for members in clusters:
-        m = len(members)
-        if m < 2:
-            per_cluster.append(0.0)
-            continue
-        pairs = m * (m - 1) // 2
-        value = float(np.clip(_mean_conflict(unit[members]), 0.0, 2.0))
+    for unit in blocks:
+        value = _cluster_conflict(unit)
+        pairs = len(unit) * (len(unit) - 1) // 2
         per_cluster.append(value)
         weighted += value * pairs
         total_pairs += pairs
@@ -184,7 +191,7 @@ def partition_conflict(
     else:
         raise ValueError(f"unknown feature source {features!r}")
     unit = _normalized_rows(np.asarray(vectors, dtype=np.float64), features)
-    return _cluster_conflicts(unit, [partition.members(k) for k in range(partition.num_experts)])
+    return _cluster_conflicts(unit[partition.members(k)] for k in range(partition.num_experts))
 
 
 def _tier_boundaries(counts: list[int], tiers: int) -> list[int]:
@@ -256,13 +263,16 @@ def _max_conflict_pair(unit: np.ndarray) -> tuple[int, int]:
     best, best_i, best_j = -np.inf, 0, 1
     for start in range(0, n - 1, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, n)
-        conf = 1.0 - unit[start:stop] @ unit[start:].T
-        conf[np.tri(stop - start, n - start, dtype=bool)] = -np.inf  # j <= i
+        conf = unit[start:stop] @ unit[start:].T
+        np.subtract(1.0, conf, out=conf)
+        # j <= i lies in the block's leading square only
+        conf[:, : stop - start][np.tri(stop - start, dtype=bool)] = -np.inf
         flat = int(np.argmax(conf))
         if conf.flat[flat] > best:  # strict: an earlier block keeps a tie
             best = conf.flat[flat]
             r, c = divmod(flat, n - start)
             best_i, best_j = start + r, start + c
+        del conf  # freed before the next block is allocated: one block live at a time
     return best_i, best_j
 
 
@@ -315,7 +325,7 @@ def bisecting_kmeans_partition(
 
     unit = _normalized_rows(corpus.embedding_matrix(), "embedding")
     clusters: list[np.ndarray] = [np.arange(n)]
-    history = [_cluster_conflicts(unit, clusters).overall]
+    history = [_cluster_conflicts(unit[c] for c in clusters).overall]
 
     while len(clusters) < num_experts:
         # the most-conflicting cluster; ties -> larger, then lower first id
@@ -329,7 +339,7 @@ def bisecting_kmeans_partition(
         labels = _two_means_cosine(unit[members], max_iters)
         left, right = members[labels == 0], members[labels == 1]
         candidate = clusters[:target_idx] + clusters[target_idx + 1 :] + [left, right]
-        new_obj = _cluster_conflicts(unit, candidate).overall
+        new_obj = _cluster_conflicts(unit[c] for c in candidate).overall
         if new_obj > history[-1] + 1e-12:
             # peel the sample with the largest mean conflict to the rest;
             # this never increases the pair-weighted objective
@@ -339,7 +349,7 @@ def bisecting_kmeans_partition(
             left = np.delete(members, worst)
             right = members[worst : worst + 1]
             candidate = clusters[:target_idx] + clusters[target_idx + 1 :] + [left, right]
-            new_obj = _cluster_conflicts(unit, candidate).overall
+            new_obj = _cluster_conflicts(unit[c] for c in candidate).overall
         clusters = candidate
         history.append(new_obj)
 

@@ -94,7 +94,7 @@ class RunManifest:
             "root_seed": self.root_seed,
             "stages": self.stages,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json())
@@ -205,7 +205,8 @@ def _partition(ctx: RunContext) -> None:
     )
     save_partition(part, ctx.out / "partition.txt")
     report = composition_report(part, corpus)
-    (ctx.out / "composition.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    (ctx.out / "composition.json").write_text(text + "\n")
     ctx.partition = part
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import Corpus, SampleRecord
-from .errors import ContractViolationError, DegenerateInputError
+from .errors import ContractViolationError
 from .model import (
     ModelState,
     flow_matching_loss,
@@ -34,7 +34,13 @@ from .model import (
     per_sample_probe_gradients,
     sgd_step,
 )
-from .partition import ConflictScore, Partition, _mean_conflict
+from .partition import (
+    ConflictScore,
+    Partition,
+    _cluster_conflict,
+    _cluster_conflicts,
+    _normalized_rows,
+)
 from .seeding import derive_seed, rng_for
 
 __all__ = [
@@ -197,13 +203,6 @@ def _gradient_rows(
     return np.stack([cache[int(s)] for s in sample_ids])
 
 
-def _mean_pairwise_conflict(rows: np.ndarray) -> float:
-    norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms == 0.0):
-        raise DegenerateInputError("all-zero probe gradient")
-    return float(np.clip(_mean_conflict(rows / norms[:, None]), 0.0, 2.0))
-
-
 def _conflict_trace(
     probe: ModelState, corpus: Corpus, partition: Partition, step: int,
     probe_size: int, t_draws: np.ndarray, x0_draws: np.ndarray, seed: int,
@@ -218,16 +217,18 @@ def _conflict_trace(
         else:
             chosen.append(members)
     all_ids = np.concatenate([c for c in chosen if len(c)]) if chosen else np.array([], int)
-    rows = _gradient_rows(probe, corpus, all_ids, t_draws, x0_draws)
+    unit = _normalized_rows(
+        _gradient_rows(probe, corpus, all_ids, t_draws, x0_draws), "probe gradient"
+    )
     # all_ids lists the chosen members cluster by cluster
-    blocks = np.split(rows, np.cumsum([len(c) for c in chosen])[:-1])
-    per_cluster = [_mean_pairwise_conflict(b) if len(b) >= 2 else 0.0 for b in blocks]
+    blocks = np.split(unit, np.cumsum([len(c) for c in chosen])[:-1])
+    per_cluster = [_cluster_conflict(b) for b in blocks]
     # cross-cluster pairs are all pairs minus within-cluster pairs
-    all_pairs = len(rows) * (len(rows) - 1) / 2
+    all_pairs = len(unit) * (len(unit) - 1) / 2
     within = [len(b) * (len(b) - 1) / 2 for b in blocks]
     cross = 0.0
     if all_pairs > sum(within):
-        cross_sum = all_pairs * _mean_pairwise_conflict(rows) - np.dot(within, per_cluster)
+        cross_sum = all_pairs * _cluster_conflict(unit) - np.dot(within, per_cluster)
         cross = float(np.clip(cross_sum / (all_pairs - sum(within)), 0.0, 2.0))
     return ConflictTrace(step=step, per_cluster_conflict=per_cluster, cross_cluster_conflict=cross)
 
@@ -347,28 +348,19 @@ def measure_conflict_reduction(
     cache: dict[int, np.ndarray] = {}
     scores: list[ConflictScore] = []
     for pidx, part in enumerate(partitions):
-        per_cluster: list[float] = []
-        weighted = 0.0
-        pair_total = 0
+        blocks: list[np.ndarray] = []
         for k in range(part.num_experts):
             members = part.members(k)
             if len(members) < 2:
-                per_cluster.append(0.0)
+                blocks.append(members)  # fewer than two rows: value 0, no pairs
                 continue
             take = min(probe_size, len(members))
             sel = np.sort(
                 rng_for(seed, "select", pidx, k).choice(members, size=take, replace=False)
             )
             rows = _gradient_rows(probe, corpus, sel, t_draws, x0_draws, cache)
-            value = _mean_pairwise_conflict(rows)
-            pairs = take * (take - 1) // 2
-            per_cluster.append(value)
-            weighted += value * pairs
-            pair_total += pairs
-        overall = weighted / pair_total if pair_total else 0.0
-        scores.append(
-            ConflictScore(per_cluster=per_cluster, overall=float(overall), pair_count=pair_total)
-        )
+            blocks.append(_normalized_rows(rows, "probe gradient"))
+        scores.append(_cluster_conflicts(blocks))
     return scores
 
 
@@ -380,7 +372,7 @@ def ledger_json(ledger: UtilizationLedger) -> str:
         "percent": {str(k): v for k, v in sorted(ledger.percentages().items())},
         "gap": ledger.gap(),
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def traces_csv(traces: list[ConflictTrace], num_experts: int) -> str:

@@ -91,6 +91,13 @@ def test_surrogate_zero_noise_equals_label_embedding():
         )
 
 
+def test_corpus_embeddings_equal_per_sample_surrogate():
+    corpus = generate_corpus(tail8_specs(80), 2, seed=9, noise_scale=0.1)
+    for s in corpus.samples:
+        expected = text_embedding_surrogate(s, 0.1, 9, corpus.embedding_dim)
+        assert np.array_equal(s.embedding, expected)
+
+
 def test_surrogate_deterministic():
     corpus = generate_corpus(tail8_specs(50), 2, seed=9)
     s = corpus.samples[17]
@@ -121,6 +128,8 @@ def test_surrogate_negative_noise_rejected():
     corpus = generate_corpus(tail8_specs(20), 2, seed=1)
     with pytest.raises(ValueError):
         text_embedding_surrogate(corpus.samples[0], -0.1, 1)
+    with pytest.raises(ValueError):
+        generate_corpus(tail8_specs(20), 2, seed=1, noise_scale=-0.1)
 
 
 def test_generate_corpus_input_validation():

@@ -1,9 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tailflow.metrics as metrics_mod
 from oracles import (
     coverage_brute,
+    dist,
     diagonal_design,
     diagonal_design_variance,
     frechet_diagonal_closed_form,
@@ -57,6 +63,19 @@ class TestKnnRadius:
             knn_radii(fs([[0.0], [1.0]]), k=2)
         with pytest.raises(InsufficientDataError):
             knn_radius(np.array([0.0]), fs([[0.0], [1.0]]), k=2)
+
+
+def test_blocked_distance_matrix_equals_brute_force():
+    # more rows than one block, and feature widths past numpy's 8-wide
+    # pairwise-sum unrolling
+    rng = np.random.default_rng(21)
+    n = 2 * metrics_mod._ROW_BLOCK + 3
+    for f_dim in (2, 9, 17):
+        a = rng.standard_normal((n, f_dim)) * 10.0
+        b = rng.standard_normal((3, f_dim))
+        got = metrics_mod._distance_matrix(a, b)
+        assert got.shape == (n, 3)
+        assert all(got[i, j] == dist(a[i], b[j]) for i in range(n) for j in range(3))
 
 
 class TestCoverage:
@@ -240,6 +259,58 @@ class TestEvaluate:
             values = [report.per_class[c][field] for c in (0, 1, 2)]
             assert report.macro[field] == pytest.approx(float(np.mean(values)))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_aggregate_and_rows_equal_public_metrics_on_subsets(self, data):
+        # rows drawn from a small pool of coarse points: duplicated rows and
+        # tied 1-NN distances throughout; class 0 has exactly k+1 train
+        # members (kept) and class 1 exactly k (skipped)
+        k = data.draw(st.integers(1, 4), label="k")
+        f_dim = data.draw(st.sampled_from([1, 2, 3, 8, 9, 17]), label="f_dim")
+        n_cls = data.draw(st.integers(2, 4), label="n_cls")
+        block = data.draw(st.sampled_from([1, 3, metrics_mod._ROW_BLOCK]), label="block")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        pool = rng.integers(-2, 3, size=(int(rng.integers(1, 8)), f_dim)) * 0.5
+
+        def draw_set(tag, counts):
+            cls = rng.permutation(np.repeat(np.arange(n_cls), counts))
+            return fs(pool[rng.integers(0, len(pool), len(cls))], tag, classes=cls)
+
+        train = draw_set("train", [k + 1, k] + [int(rng.integers(0, 10))
+                                                 for _ in range(n_cls - 2)])
+        gen = draw_set("generated", [int(rng.integers(1, 8))] + [int(rng.integers(0, 8))
+                                                                for _ in range(n_cls - 1)])
+        test = draw_set("test", [int(rng.integers(1, 6))] + [int(rng.integers(0, 6))
+                                                            for _ in range(n_cls - 1)])
+        with mock.patch.object(metrics_mod, "_ROW_BLOCK", block):
+            report = evaluate(gen, train, test, k=k)
+
+        def expected(gen_c, train_c, test_c):
+            row = {"coverage": coverage(train_c, gen_c, k), "irs_train": irs(gen_c, train_c),
+                   "irs_test": None, "irs_adjusted": None, "frechet": None}
+            if len(test_c) > 0:
+                row["irs_test"] = irs(gen_c, test_c)
+                row["irs_adjusted"] = irs_adjusted(gen_c, train_c, test_c)
+            if len(gen_c) >= 2:
+                row["frechet"] = frechet_distance(train_c, gen_c)
+            return row
+
+        assert {f: getattr(report, f) for f in expected(gen, train, test)} == expected(
+            gen, train, test
+        )
+        assert "k+1" in report.skipped[1]
+        # the shared 1-NN helper keeps the first of tied minima
+        assert list(retrieval_ids(gen, train)) == retrieval_brute(gen.vectors, train.vectors)
+        present = sorted(set(np.concatenate([gen.classes, train.classes, test.classes]).tolist()))
+        assert sorted(set(report.per_class) | set(report.skipped)) == present
+        for c in present:
+            subsets = [s.subset(s.classes == c) for s in (gen, train, test)]
+            if len(subsets[1]) < k + 1 or len(subsets[0]) == 0:
+                assert c in report.skipped and c not in report.per_class
+            else:
+                assert report.per_class[c] == expected(*subsets)
+
     def test_class_map_override(self):
         rng = np.random.default_rng(18)
         train = fs(rng.standard_normal((14, 2)), "train")
@@ -263,6 +334,10 @@ def test_report_serialization_round_trip(tmp_path):
     assert text == evaluate(gen, train, test, k=3).to_json()
     csv_text = report.to_csv()
     assert csv_text.splitlines()[0].startswith("class,coverage")
+
+    report.frechet = float("nan")
+    with pytest.raises(ValueError):
+        report.to_json()
 
     path = tmp_path / "gen.txt"
     save_samples(path, gen.vectors, cls)

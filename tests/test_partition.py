@@ -285,6 +285,19 @@ class TestBisectingKMeans:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_seed_pair_scan_memory_stays_one_block(self):
+        # one 256 x 20000 float64 block is 39 MiB; a second live block-sized
+        # array (1 - product, or the previous block) would double the peak
+        unit = np.random.default_rng(0).standard_normal((20_000, 16))
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        tracemalloc.start()
+        try:
+            partition_mod._max_conflict_pair(unit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
 
 class TestRandomPartition:
     def test_k1(self):

@@ -227,6 +227,23 @@ class TestCli:
         assert main(["evaluate", "--config", str(cfg_path), "--out", str(out)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_metrics_fail_the_evaluate_stage(self, tmp_path, capsys):
+        # pretraining at lr 5 diverges; the garbage samples' Frechet distance is NaN
+        diverged = ExperimentConfig(**{**SMOKE.__dict__, "train_pretrain_lr": 5.0,
+                                       "explicit_classes": {}})
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(diverged.to_text())
+        out = tmp_path / "work"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "stage 'evaluate' failed" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+        assert "evaluate" not in RunManifest.load(out / "manifest.json").stages
+        with pytest.raises(StageError) as info:
+            run_stage(diverged, out, "evaluate")
+        assert info.value.stage == "evaluate"
+        assert not (out / "metrics.json").exists()
+
     def test_writes_stay_inside_out_dir(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(SMOKE_TEXT)

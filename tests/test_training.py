@@ -6,7 +6,7 @@ import tailflow.training as training
 from oracles import mean_pairwise_conflict_brute
 
 from tailflow.datagen import ClassSpec, chest_longtail_specs, generate_corpus, tail8_specs
-from tailflow.errors import ContractViolationError
+from tailflow.errors import ContractViolationError, DegenerateInputError
 from tailflow.model import BackboneConfig, ModelState, init_adapters, init_backbone
 from tailflow.partition import (
     label_tier_partition,
@@ -246,6 +246,15 @@ class TestConflictMeasurement:
             for i in range(len(ids)) for j in range(i + 1, len(ids)) if labels[i] != labels[j]
         ]
         assert trace.cross_cluster_conflict == pytest.approx(np.mean(cross), abs=1e-12)
+
+    def test_zero_probe_gradient_is_degenerate(self, corpus, partition, monkeypatch):
+        def zero_rows(probe, corpus, ids, t_draws, x0_draws, cache=None):
+            return np.zeros((len(ids), 5))
+
+        state = make_state(corpus, pretrain=1)
+        monkeypatch.setattr(training, "_gradient_rows", zero_rows)
+        with pytest.raises(DegenerateInputError, match="probe gradient"):
+            measure_conflict_reduction(state, corpus, [partition], probe_size=4, seed=0)
 
     def test_scores_are_deterministic(self, corpus, partition):
         state = make_state(corpus)
