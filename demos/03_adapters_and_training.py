@@ -11,7 +11,6 @@ import numpy as np
 from tailflow import (
     BackboneConfig,
     ModelState,
-    backbone_forward,
     chest_longtail_specs,
     generate_corpus,
     init_adapters,
@@ -38,7 +37,8 @@ print(f"adapter stack: K=4, width 8, blocks {state.adapters.placement}, "
 # zero-init up-projections mean the adapted model IS the backbone at start
 x, t, cond = np.ones(2), 0.5, np.ones(16) * 0.1
 adapted = model_forward(state, x, np.array([t]), cond, np.array([2]))[0]
-base = backbone_forward(state, x, t, cond)
+bare = ModelState(config=config, backbone=state.backbone, adapters=None)
+base = model_forward(bare, x, np.array([t]), cond)[0]
 print(f"zero-init identity holds bit-exactly: {np.array_equal(adapted, base)}")
 
 print("\nfine-tuning without resampling...")

@@ -36,16 +36,11 @@ from .model import (
     AdapterStack,
     BackboneConfig,
     ModelState,
-    adapter_forward,
-    backbone_forward,
-    block_forward,
-    cfg_sample,
     flow_matching_loss,
     init_adapters,
     init_backbone,
     load_checkpoint,
     model_forward,
-    route,
     sample_batch,
     save_checkpoint,
 )

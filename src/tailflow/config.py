@@ -44,6 +44,13 @@ def _parse_scalar(raw: str):
     return raw
 
 
+def _int_value(key: str, value) -> int:
+    # int(value) would truncate 2.9 to 2 and turn true into 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key}: expected an integer, got {value!r}")
+    return value
+
+
 def _parse_value(raw: str):
     raw = raw.strip()
     if "," in raw:
@@ -177,7 +184,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown config key {key!r}")
             attr = cls._KEYS[key]
             if attr == "seeds":
-                cfg.seeds = [int(v) for v in (value if isinstance(value, list) else [value])]
+                values = value if isinstance(value, list) else [value]
+                cfg.seeds = [_int_value(key, v) for v in values]
             else:
                 current = getattr(cfg, attr)
                 if isinstance(current, bool):
@@ -185,7 +193,7 @@ class ExperimentConfig:
                         raise ValueError(f"{key}: expected true/false, got {value!r}")
                     setattr(cfg, attr, value)
                 elif isinstance(current, int):
-                    setattr(cfg, attr, int(value))
+                    setattr(cfg, attr, _int_value(key, value))
                 elif isinstance(current, float):
                     setattr(cfg, attr, float(value))
                 else:

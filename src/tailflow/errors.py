@@ -5,7 +5,6 @@ __all__ = [
     "ContractViolationError",
     "UndefinedMetricError",
     "InsufficientDataError",
-    "UnknownSampleError",
     "SchemaMismatchError",
     "StageError",
 ]
@@ -25,10 +24,6 @@ class UndefinedMetricError(ValueError):
 
 class InsufficientDataError(ValueError):
     """Too few points to satisfy a metric or clustering precondition."""
-
-
-class UnknownSampleError(KeyError):
-    """A sample id that is not covered by the partition."""
 
 
 class SchemaMismatchError(ValueError):

@@ -5,24 +5,28 @@ a sinusoidal time embedding, and the conditioning vector are projected into
 a shared hidden state, which passes through L feedforward blocks with skip
 connections and out to a velocity prediction. Each block's output is
 
-    h_{l+1} = F_l(h_l) + A_{k,l}(h_l)
+    h_{l+1} = h_l + F_l(h_l) + A_{k,l}(h_l)
 
 where F_l is the frozen base block and A_{k,l}(h) = W2 sigma(W1 h) is the
-two-layer residual adapter owned by expert k at block l. Experts are
-selected by a precomputed partition: routing is a pure lookup, there is no
-gate. Up-projections start at zero, so a freshly adapted model reproduces
-the frozen backbone bit for bit.
+two-layer residual adapter owned by expert k at block l (blocks outside the
+placement have no A term). Experts are selected by a precomputed partition:
+routing is a pure lookup, there is no gate. Up-projections start at zero,
+so a freshly adapted model reproduces the frozen backbone bit for bit.
 
 Training uses the rectified flow objective: x_t = (1-t) x0 + t x1 with
-velocity target x1 - x0 and squared error loss. Sampling integrates the
-learned velocity field with Euler steps from t = 0 to t = 1, optionally
-blending conditional and unconditional predictions
-(v = v_u + s (v_c - v_u)); scales 0 and 1 collapse exactly to the pure
-unconditional / conditional trajectories.
+velocity target x1 - x0 and squared error loss. ``sample_batch`` is the one
+sampler: it integrates the learned velocity field with Euler steps from
+t = 0 to t = 1, optionally blending conditional and unconditional
+predictions (v = v_u + s (v_c - v_u)); scales 0 and 1 collapse exactly to
+the pure unconditional / conditional trajectories.
 
-Forward and backward passes are hand-written numpy; gradients exist only
-for the adapters routed by a batch (and for the backbone only when it is
-explicitly unfrozen, which the fine-tuning contract forbids).
+Forward and backward passes are hand-written numpy, one of each: the batched
+forward ``_forward_group`` (behind ``model_forward``) and ``_backward_group``.
+The backward returns, per adapted block, the factors whose products are the
+adapter gradients; ``flow_matching_loss`` sums them over the batch and
+``per_sample_probe_gradients`` keeps one outer product per sample. Gradients
+exist only for the adapters routed by a batch (and for the backbone only
+when it is explicitly unfrozen, which the fine-tuning contract forbids).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ContractViolationError, UnknownSampleError
+from .errors import ContractViolationError
 from .seeding import rng_for
 
 __all__ = [
@@ -48,17 +52,10 @@ __all__ = [
     "init_backbone",
     "init_adapters",
     "resolve_placement",
-    "backbone_forward",
     "model_forward",
-    "adapter_forward",
-    "block_forward",
-    "route",
     "flow_matching_loss",
     "sgd_step",
-    "cfg_sample",
     "sample_batch",
-    "sample_conditional",
-    "sample_unconditional",
     "per_sample_probe_gradients",
     "save_checkpoint",
     "load_checkpoint",
@@ -308,12 +305,16 @@ def _backward_group(
     state: ModelState,
     cache: dict,
     d_out: np.ndarray,
-    adapter_grads: dict[tuple[int, int], dict[str, np.ndarray]] | None,
     backbone_grads: dict[str, np.ndarray] | None,
-    want_input_grad: bool = False,
-) -> np.ndarray | None:
-    """Accumulate parameter gradients for one forward cache; optionally
-    return the gradient with respect to the input X."""
+) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, ...]]]:
+    """Backpropagate ``d_out`` through one forward cache.
+
+    Accumulates backbone gradients into ``backbone_grads`` when given.
+    Returns ``(dh, factors)``: ``dh`` is the gradient at the input hidden
+    state, and ``factors[l] = (dh_l, z_l, dy_l, h_in_l)`` for each adapted
+    block l. Row i's adapter gradients are the outer products
+    dW2 = dh_l[i] z_l[i]^T and dW1 = dy_l[i] h_in_l[i]^T.
+    """
     cfg = state.config
     p = state.backbone
     expert_id = cache["expert_id"]
@@ -326,6 +327,7 @@ def _backward_group(
         backbone_grads["b_out"] += d_out.sum(axis=0)
     dh = d_out @ p["w_out"]
 
+    factors: dict[int, tuple[np.ndarray, ...]] = {}
     for l in reversed(range(cfg.num_blocks)):
         entry = cache["blocks"][l]
         h_in = cache["h"][l]
@@ -342,13 +344,9 @@ def _backward_group(
         dh_ad = 0.0
         if "y" in entry:
             ad = state.adapters.params[(expert_id, l)]
-            y, z = entry["y"], entry["z"]
             dz = dh @ ad.w2
-            dy = dz * act_grad(y)
-            if adapter_grads is not None:
-                slot = adapter_grads[(expert_id, l)]
-                slot["w2"] += dh.T @ z
-                slot["w1"] += dy.T @ h_in
+            dy = dz * act_grad(entry["y"])
+            factors[l] = (dh, entry["z"], dy, h_in)
             dh_ad = dy @ ad.w1
 
         dh = dh + dh_ff + dh_ad
@@ -358,9 +356,7 @@ def _backward_group(
         backbone_grads["b_in"] += dh.sum(axis=0)
         backbone_grads["w_time"] += dh.T @ cache["tau"]
         backbone_grads["w_cond"] += dh.T @ cache["C"]
-    if want_input_grad:
-        return dh @ p["w_in"]
-    return None
+    return dh, factors
 
 
 def model_forward(
@@ -371,73 +367,37 @@ def model_forward(
     expert_ids: np.ndarray | None = None,
 ) -> np.ndarray:
     """Velocity predictions for a batch; samples may belong to different
-    experts (the batch is processed in expert groups)."""
+    experts (the batch is processed in expert groups).
+
+    X is (n, data_dim), T holds n times in [0, 1], C is (n, cond_dim) and
+    ``expert_ids`` (required when adapters are attached) holds n expert ids;
+    one sample may be passed as 1-D X and C.
+    """
+    cfg = state.config
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     T = np.atleast_1d(np.asarray(T, dtype=np.float64))
     C = np.atleast_2d(np.asarray(C, dtype=np.float64))
+    if X.ndim != 2 or X.shape[1] != cfg.data_dim:
+        raise ValueError(f"X shape {X.shape}, expected (n, {cfg.data_dim})")
+    if C.ndim != 2 or C.shape[1] != cfg.cond_dim:
+        raise ValueError(f"C shape {C.shape}, expected (n, {cfg.cond_dim})")
+    if T.shape != (len(X),) or len(C) != len(X):
+        raise ValueError(f"row counts differ: X {X.shape}, T {T.shape}, C {C.shape}")
+    if not np.all((T >= 0.0) & (T <= 1.0)):
+        raise ValueError(f"t must be in [0, 1], got values in [{T.min()}, {T.max()}]")
     if state.adapters is None:
         return _forward_group(state, X, T, C, None)
     if expert_ids is None:
         raise ValueError("expert_ids required when adapters are attached")
     expert_ids = np.asarray(expert_ids)
-    out = np.empty((len(X), state.config.data_dim))
+    if expert_ids.shape != (len(X),):
+        raise ValueError(f"expert_ids shape {expert_ids.shape}, expected ({len(X)},)")
+    out = np.empty((len(X), cfg.data_dim))
     for k in np.unique(expert_ids):
         idx = np.flatnonzero(expert_ids == k)
         _check_expert(state, int(k))
         out[idx] = _forward_group(state, X[idx], T[idx], C[idx], int(k))
     return out
-
-
-def backbone_forward(state: ModelState, x_t: np.ndarray, t: float, cond: np.ndarray) -> np.ndarray:
-    """Single-sample frozen-backbone velocity (no adapters applied)."""
-    cfg = state.config
-    x_t = np.asarray(x_t, dtype=np.float64)
-    cond = np.asarray(cond, dtype=np.float64)
-    if x_t.shape != (cfg.data_dim,):
-        raise ValueError(f"x_t shape {x_t.shape}, expected ({cfg.data_dim},)")
-    if cond.shape != (cfg.cond_dim,):
-        raise ValueError(f"cond shape {cond.shape}, expected ({cfg.cond_dim},)")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be in [0, 1], got {t}")
-    bare = ModelState(config=cfg, backbone=state.backbone, adapters=None, frozen=state.frozen)
-    return _forward_group(bare, x_t[None, :], np.array([t]), cond[None, :], None)[0]
-
-
-def adapter_forward(adapter: AdapterParams, h: np.ndarray, nonlinearity: str = "gelu") -> np.ndarray:
-    """W2 sigma(W1 h) for one adapter."""
-    act, _ = _ACTIVATIONS[nonlinearity]
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (adapter.w1.shape[1],):
-        raise ValueError(f"h shape {h.shape}, expected ({adapter.w1.shape[1]},)")
-    return adapter.w2 @ act(adapter.w1 @ h)
-
-
-def block_forward(
-    state: ModelState, block_id: int, h: np.ndarray, expert_id: int | None = None
-) -> np.ndarray:
-    """One block: base feedforward plus the routed expert's adapter (if the
-    block carries adapters). Only that expert's parameters are read."""
-    cfg = state.config
-    if not 0 <= block_id < cfg.num_blocks:
-        raise ValueError(f"block_id {block_id} out of range")
-    h = np.asarray(h, dtype=np.float64)
-    p = state.backbone
-    a = h @ p[f"block{block_id}.v"].T + p[f"block{block_id}.c"]
-    f = _gelu(a) @ p[f"block{block_id}.u"].T + p[f"block{block_id}.e"]
-    base = h + f
-    if state.adapters is not None and block_id in state.adapters.placement:
-        _check_expert(state, expert_id)
-        ad = state.adapters.params[(expert_id, block_id)]
-        return base + adapter_forward(ad, h, state.adapters.nonlinearity)
-    return base
-
-
-def route(sample, partition) -> int:
-    """Deterministic expert lookup for a sample; stable across calls."""
-    sample_id = sample.sample_id if hasattr(sample, "sample_id") else int(sample)
-    if not 0 <= sample_id < len(partition.assignments):
-        raise UnknownSampleError(sample_id)
-    return int(partition.assignments[sample_id])
 
 
 def _zero_adapter_grads(stack: AdapterStack) -> dict[tuple[int, int], dict[str, np.ndarray]]:
@@ -510,7 +470,11 @@ def flow_matching_loss(
     d_pred = 2.0 * resid / resid.size
 
     for idx, cache in groups:
-        _backward_group(state, cache, d_pred[idx], adapter_grads or None, backbone_grads)
+        _, factors = _backward_group(state, cache, d_pred[idx], backbone_grads)
+        for l, (dh, z, dy, h_in) in factors.items():
+            slot = adapter_grads[(cache["expert_id"], l)]
+            slot["w2"] += dh.T @ z
+            slot["w1"] += dy.T @ h_in
 
     return loss, LossGradients(adapters=adapter_grads, backbone=backbone_grads)
 
@@ -544,32 +508,24 @@ def _euler_integrate(
 def _velocity_fn(
     state: ModelState, cond: np.ndarray, expert_id: int | None, guidance_scale: float
 ) -> Callable[[np.ndarray, float], np.ndarray]:
-    cfg = state.config
     null = np.zeros_like(cond)
 
-    def cond_v(x, t):
+    def v(x, t, c):
         n = len(x)
         return model_forward(
-            state, x, np.full(n, t), np.tile(cond, (n, 1)),
-            None if expert_id is None else np.full(n, expert_id),
-        )
-
-    def uncond_v(x, t):
-        n = len(x)
-        return model_forward(
-            state, x, np.full(n, t), np.tile(null, (n, 1)),
+            state, x, np.full(n, t), np.tile(c, (n, 1)),
             None if expert_id is None else np.full(n, expert_id),
         )
 
     # scales 0 and 1 must collapse exactly, not just up to rounding
     if guidance_scale == 1.0:
-        return cond_v
+        return lambda x, t: v(x, t, cond)
     if guidance_scale == 0.0:
-        return uncond_v
+        return lambda x, t: v(x, t, null)
 
     def blended(x, t):
-        vu = uncond_v(x, t)
-        return vu + guidance_scale * (cond_v(x, t) - vu)
+        vu = v(x, t, null)
+        return vu + guidance_scale * (v(x, t, cond) - vu)
 
     return blended
 
@@ -594,44 +550,6 @@ def sample_batch(
     return _euler_integrate(x0, steps, _velocity_fn(state, cond, expert_id, guidance_scale))
 
 
-def cfg_sample(
-    state: ModelState,
-    cond: np.ndarray,
-    expert_id: int | None,
-    guidance_scale: float,
-    steps: int,
-    seed: int,
-) -> np.ndarray:
-    """One guided sample: v = v_uncond + s (v_cond - v_uncond) per step."""
-    return sample_batch(state, cond, expert_id, guidance_scale, steps, 1, seed)[0]
-
-
-def sample_conditional(
-    state: ModelState, cond: np.ndarray, expert_id: int | None, steps: int, seed: int
-) -> np.ndarray:
-    """Pure conditional sampling (no guidance blending)."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    _check_expert(state, expert_id)
-    cond = np.asarray(cond, dtype=np.float64)
-    x0 = rng_for(seed, "sample-noise").standard_normal((1, state.config.data_dim))
-    fn = _velocity_fn(state, cond, expert_id, 1.0)
-    return _euler_integrate(x0, steps, fn)[0]
-
-
-def sample_unconditional(
-    state: ModelState, expert_id: int | None, steps: int, seed: int
-) -> np.ndarray:
-    """Pure unconditional sampling (null conditioning throughout)."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    _check_expert(state, expert_id)
-    null = np.zeros(state.config.cond_dim)
-    x0 = rng_for(seed, "sample-noise").standard_normal((1, state.config.data_dim))
-    fn = _velocity_fn(state, null, expert_id, 0.0)
-    return _euler_integrate(x0, steps, fn)[0]
-
-
 def per_sample_probe_gradients(
     state: ModelState,
     x1: np.ndarray,
@@ -644,56 +562,30 @@ def per_sample_probe_gradients(
     The state must hold a single-expert adapter stack (the probe). Every
     sample is evaluated at the same (t, x0) draws and its gradient averaged
     over them, so gradients are comparable across samples. Returns one
-    flattened gradient row per sample.
+    gradient row per sample: for each block in placement order, the
+    row-major flattened w1 gradient, then the w2 gradient.
     """
     if state.adapters is None or state.adapters.num_experts != 1:
         raise ValueError("probe gradients need a single-expert adapter stack")
-    stack = state.adapters
-    _, act_grad = _ACTIVATIONS[stack.nonlinearity]
-    cfg = state.config
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
     cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
     n = len(x1)
-    dim = cfg.data_dim
-    width = sum(
-        stack.params[(0, l)].w1.size + stack.params[(0, l)].w2.size for l in stack.placement
-    )
-    total = np.zeros((n, width))
+    total = np.zeros((n, state.adapters.parameter_count()))
     for t_val, x0 in zip(t_draws, x0_draws):
         x_t = (1.0 - t_val) * x0[None, :] + t_val * x1
         v_target = x1 - x0[None, :]
         out, cache = _forward_group(
             state, x_t, np.full(n, t_val), cond, expert_id=0, keep_cache=True
         )
-        resid = out - v_target
-        d_out = 2.0 * resid / dim  # per-sample loss: mean over dimensions only
-
-        dh = d_out @ state.backbone["w_out"]
-        per_block: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for l in reversed(range(cfg.num_blocks)):
-            entry = cache["blocks"][l]
-            h_in = cache["h"][l]
-            dg = dh @ state.backbone[f"block{l}.u"]
-            da = dg * _gelu_grad(entry["a"])
-            dh_ff = da @ state.backbone[f"block{l}.v"]
-            dh_ad = 0.0
-            if "y" in entry:
-                ad = stack.params[(0, l)]
-                dz = dh @ ad.w2
-                dy = dz * act_grad(entry["y"])
-                dw2 = np.einsum("ni,nj->nij", dh, entry["z"])
-                dw1 = np.einsum("ni,nj->nij", dy, h_in)
-                per_block[l] = (dw1, dw2)
-                dh_ad = dy @ ad.w1
-            dh = dh + dh_ff + dh_ad
-
+        # per-sample loss: mean over dimensions only
+        d_out = 2.0 * (out - v_target) / state.config.data_dim
+        _, factors = _backward_group(state, cache, d_out, None)
         offset = 0
-        for l in stack.placement:
-            dw1, dw2 = per_block[l]
-            total[:, offset : offset + dw1[0].size] += dw1.reshape(n, -1)
-            offset += dw1[0].size
-            total[:, offset : offset + dw2[0].size] += dw2.reshape(n, -1)
-            offset += dw2[0].size
+        for l in state.adapters.placement:
+            dh, z, dy, h_in = factors[l]
+            for grad in (np.einsum("ni,nj->nij", dy, h_in), np.einsum("ni,nj->nij", dh, z)):
+                total[:, offset : offset + grad[0].size] += grad.reshape(n, -1)
+                offset += grad[0].size
     return total / len(t_draws)
 
 

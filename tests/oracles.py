@@ -8,6 +8,8 @@ vectorized paths perform, so agreement is exact, not approximate.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -104,3 +106,60 @@ def diagonal_design_variance(spread: np.ndarray, f: int) -> np.ndarray:
     """Sample variance (ddof=1) of diagonal_design along each coordinate."""
     n = 2 * f
     return 2.0 * np.asarray(spread, dtype=np.float64) ** 2 / (n - 1)
+
+
+def _matvec(w: np.ndarray, v) -> list[float]:
+    return [sum(float(w[i, j]) * float(v[j]) for j in range(w.shape[1])) for i in range(w.shape[0])]
+
+
+def _add(*vectors) -> list[float]:
+    return [sum(parts) for parts in zip(*vectors)]
+
+
+_ACT = {
+    "gelu": lambda v: 0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))),
+    "relu": lambda v: max(v, 0.0),
+}
+
+
+def forward_reference(
+    backbone: dict[str, np.ndarray],
+    adapters: dict[int, tuple[np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    t: float,
+    c: np.ndarray,
+    nonlinearity: str = "gelu",
+) -> np.ndarray:
+    """Velocity for one sample, straight from the model's defining formula.
+
+    h_0 = W_in x + W_time tau(t) + W_cond c + b_in with tau(t) the sin/cos
+    features at frequencies 1000^(i / (half - 1)); each block l maps
+    h -> h + F_l(h) + W2 sigma(W1 h) with F_l(h) = U gelu(V h + c_l) + e_l;
+    the output is W_out h_L + b_out. ``adapters`` maps a block id to the
+    routed expert's (W1, W2); blocks without an entry have no adapter term.
+    """
+    half = backbone["w_time"].shape[1] // 2
+    freqs = [math.exp(i * math.log(1000.0) / max(half - 1, 1)) for i in range(half)]
+    tau = [math.sin(t * f) for f in freqs] + [math.cos(t * f) for f in freqs]
+    h = _add(_matvec(backbone["w_in"], x), _matvec(backbone["w_time"], tau),
+             _matvec(backbone["w_cond"], c), backbone["b_in"])
+    num_blocks = sum(1 for name in backbone if name.endswith(".v"))
+    for l in range(num_blocks):
+        a = _add(_matvec(backbone[f"block{l}.v"], h), backbone[f"block{l}.c"])
+        f = _add(_matvec(backbone[f"block{l}.u"], [_ACT["gelu"](v) for v in a]),
+                 backbone[f"block{l}.e"])
+        parts = [h, f]
+        if l in adapters:
+            w1, w2 = adapters[l]
+            parts.append(_matvec(w2, [_ACT[nonlinearity](v) for v in _matvec(w1, h)]))
+        h = _add(*parts)
+    return np.array(_add(_matvec(backbone["w_out"], h), backbone["b_out"]))
+
+
+def euler_reference(velocity, x0: np.ndarray, steps: int) -> np.ndarray:
+    """Explicit Euler from t = 0 to 1: x <- x + (1/steps) v(x, i/steps)."""
+    x = np.array(x0, dtype=np.float64)
+    dt = 1.0 / steps
+    for i in range(steps):
+        x = x + dt * velocity(x, i / steps)
+    return x

@@ -18,6 +18,7 @@ from oracles import (
     coverage_brute,
     diagonal_design,
     diagonal_design_variance,
+    euler_reference,
     frechet_diagonal_closed_form,
     irs_brute,
     knn_radius_brute,
@@ -45,14 +46,11 @@ from tailflow.metrics import (
 from tailflow.model import (
     BackboneConfig,
     ModelState,
-    cfg_sample,
     flow_matching_loss,
     init_adapters,
     init_backbone,
     model_forward,
     sample_batch,
-    sample_conditional,
-    sample_unconditional,
     sgd_step,
 )
 from tailflow.partition import (
@@ -420,20 +418,25 @@ def test_criterion_9_cfg_collapse_and_default_scale():
         p.w2 = rng.standard_normal(p.w2.shape) * 0.1
     cond = rng_for(20, "cond").standard_normal(8)
 
-    exact_one = np.array_equal(
-        cfg_sample(state, cond, 1, 1.0, steps=12, seed=21),
-        sample_conditional(state, cond, 1, steps=12, seed=21),
-    )
+    def euler_loop(c):
+        # the pure trajectory: explicit Euler over model_forward, expert 1
+        x0 = rng_for(21, "sample-noise").standard_normal((1, 2))
+        return euler_reference(
+            lambda x, t: model_forward(state, x, np.full(len(x), t), np.tile(c, (len(x), 1)),
+                                       np.full(len(x), 1)),
+            x0, 12,
+        )
+
+    exact_one = np.array_equal(sample_batch(state, cond, 1, 1.0, 12, 1, seed=21), euler_loop(cond))
     exact_zero = np.array_equal(
-        cfg_sample(state, cond, 1, 0.0, steps=12, seed=21),
-        sample_unconditional(state, 1, steps=12, seed=21),
+        sample_batch(state, cond, 1, 0.0, 12, 1, seed=21), euler_loop(np.zeros(8))
     )
     default_cfg = ExperimentConfig()
     from tailflow.config import parse_config_text
 
     parsed = ExperimentConfig.from_flat(parse_config_text(default_cfg.to_text()))
     scale_ok = parsed.sample_guidance_scale == 5.0
-    scale5 = cfg_sample(state, cond, 1, parsed.sample_guidance_scale, steps=12, seed=21)
+    scale5 = sample_batch(state, cond, 1, parsed.sample_guidance_scale, 12, 1, seed=21)
     scale_ok &= bool(np.isfinite(scale5).all())
     ok = exact_one and exact_zero and scale_ok
     report(9, "guidance 1/0 collapse exactly; default scale 5 parses and runs", ok)

@@ -104,3 +104,13 @@ def test_validation():
         ExperimentConfig(seeds=[]).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(train_quota=10, train_batch_size=8).validate()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("train.steps = 2.9", "train.steps: expected an integer, got 2.9"),
+    ("metrics.k = true", "metrics.k: expected an integer, got True"),
+    ("seeds = 4.7", "seeds: expected an integer, got 4.7"),
+])
+def test_integer_keys_reject_non_integers(text, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_flat(parse_config_text(text))

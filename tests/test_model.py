@@ -2,30 +2,24 @@ import numpy as np
 import pytest
 
 import tailflow.model as model_mod
-from tailflow.datagen import ClassSpec, generate_corpus, tail8_specs
-from tailflow.errors import ContractViolationError, UnknownSampleError
+from oracles import euler_reference, forward_reference
+from tailflow.datagen import ClassSpec, generate_corpus
+from tailflow.errors import ContractViolationError
 from tailflow.model import (
-    AdapterParams,
     BackboneConfig,
     ModelState,
-    adapter_forward,
-    backbone_forward,
-    block_forward,
-    cfg_sample,
     flow_matching_loss,
     init_adapters,
     init_backbone,
     load_checkpoint,
     model_forward,
+    per_sample_probe_gradients,
     resolve_placement,
-    route,
     sample_batch,
-    sample_conditional,
-    sample_unconditional,
     save_checkpoint,
     sgd_step,
 )
-from tailflow.partition import random_partition, single_partition
+from tailflow.partition import random_partition
 from tailflow.seeding import rng_for
 from tailflow.training import TrainBatch, assemble_batch
 
@@ -62,28 +56,63 @@ def small_batch(state, n=5, seed=3):
     return assemble_batch(corpus, part, n, False, 0, rng_for(seed, "batch"))
 
 
+def bare(state):
+    return ModelState(config=state.config, backbone=state.backbone, adapters=None)
+
+
+def small_inputs(state, n=5, seed=0):
+    rng = rng_for(seed, "inputs")
+    return (rng.standard_normal((n, state.config.data_dim)), rng.uniform(0.0, 1.0, n),
+            rng.standard_normal((n, state.config.cond_dim)))
+
+
+def reference(state, X, T, C, expert_id):
+    """Oracle forward of every row, routed to ``expert_id``."""
+    adapters, nonlinearity = {}, "gelu"
+    if state.adapters is not None:
+        nonlinearity = state.adapters.nonlinearity
+        adapters = {l: (state.adapters.params[(expert_id, l)].w1,
+                        state.adapters.params[(expert_id, l)].w2)
+                    for l in state.adapters.placement}
+    return np.stack([forward_reference(state.backbone, adapters, x, t, c, nonlinearity)
+                     for x, t, c in zip(X, T, C)])
+
+
+def routed(state, X, T, C, expert_id):
+    return model_forward(state, X, T, C, np.full(len(X), expert_id))
+
+
 class TestBackboneForward:
     def test_deterministic_and_shaped(self):
-        state = small_state()
+        state = bare(small_state())
         x = rng_for(0, "x").standard_normal(3)
         c = rng_for(0, "c").standard_normal(4)
-        a = backbone_forward(state, x, 0.4, c)
-        b = backbone_forward(state, x, 0.4, c)
+        a = model_forward(state, x, 0.4, c)
+        b = model_forward(state, x[None, :], np.array([0.4]), c[None, :])
         assert np.array_equal(a, b)
-        assert a.shape == (3,)
+        assert a.shape == (1, 3)
 
     def test_shape_and_range_errors(self):
-        state = small_state()
-        with pytest.raises(ValueError):
-            backbone_forward(state, np.zeros(2), 0.5, np.zeros(4))
-        with pytest.raises(ValueError):
-            backbone_forward(state, np.zeros(3), 0.5, np.zeros(3))
-        with pytest.raises(ValueError):
-            backbone_forward(state, np.zeros(3), 1.5, np.zeros(4))
+        for state in (bare(small_state()), small_state()):
+            X, T, C = small_inputs(state, n=5)
+            E = np.zeros(5, dtype=int)
+            bad = [
+                (np.zeros((5, 2)), T, C, E, "X shape"),
+                (X, T, np.zeros((5, 3)), E, "C shape"),
+                (X, np.full(5, 1.5), C, E, "t must be in"),
+                (X, np.full(5, -0.1), C, E, "t must be in"),
+                (X, T[:1], C, E, "row counts differ"),
+                (X, T, C[:4], E, "row counts differ"),
+            ]
+            if state.adapters is not None:
+                bad.append((X, T, C, E[:4], "expert_ids shape"))
+            for X_, T_, C_, E_, message in bad:
+                with pytest.raises(ValueError, match=message):
+                    model_forward(state, X_, T_, C_, E_)
 
     def test_input_jacobian_matches_finite_differences(self):
         # VJP against central differences of a scalar probe w^T f(x)
-        state = small_state(zero_w2=False)
+        state = bare(small_state(zero_w2=False))
         cfg = state.config
         rng = rng_for(7, "jvp")
         x = rng.standard_normal(cfg.data_dim)
@@ -91,112 +120,143 @@ class TestBackboneForward:
         w = rng.standard_normal(cfg.data_dim)
         t = 0.3
 
-        bare = ModelState(config=cfg, backbone=state.backbone, adapters=None, frozen=True)
         out, cache = model_mod._forward_group(
-            bare, x[None, :], np.array([t]), c[None, :], None, keep_cache=True
+            state, x[None, :], np.array([t]), c[None, :], None, keep_cache=True
         )
-        dx = model_mod._backward_group(bare, cache, w[None, :], None, None, want_input_grad=True)
+        dh, _ = model_mod._backward_group(state, cache, w[None, :], None)
+        dx = dh @ state.backbone["w_in"]
         h = 1e-5
         worst = 0.0
         for i in range(cfg.data_dim):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            fd = (backbone_forward(state, xp, t, c) @ w - backbone_forward(state, xm, t, c) @ w) / (2 * h)
+            fd = (model_forward(state, xp, t, c)[0] @ w - model_forward(state, xm, t, c)[0] @ w) / (2 * h)
             rel = abs(fd - dx[0, i]) / max(abs(fd), abs(dx[0, i]), 1e-12)
             worst = max(worst, rel)
         assert worst < 1e-4
 
 
 class TestAdapterForward:
+    """The adapter term W2 sigma(W1 h) as model_forward applies it."""
+
     def test_zero_up_projection(self):
-        ad = AdapterParams(w1=np.ones((4, 3)), w2=np.zeros((3, 4)), expert_id=0, block_id=0)
-        assert np.array_equal(adapter_forward(ad, np.array([1.0, -2.0, 0.5])), np.zeros(3))
+        state = small_state(nonlinearity="relu", zero_w2=True)
+        for p in state.adapters.params.values():
+            p.w1 = np.ones_like(p.w1)
+        X, T, C = small_inputs(state)
+        for k in range(2):
+            assert np.array_equal(routed(state, X, T, C, k), model_forward(bare(state), X, T, C))
 
     def test_relu_hand_computation(self):
-        ad = AdapterParams(w1=np.eye(2), w2=np.eye(2), expert_id=0, block_id=0)
-        out = adapter_forward(ad, np.array([-1.0, 2.0]), nonlinearity="relu")
-        assert np.array_equal(out, np.array([0.0, 2.0]))
+        # identity projections, a zero base block and an identity head:
+        # out = h + 0 + relu(h) with h = x
+        cfg = BackboneConfig(data_dim=2, hidden_dim=2, num_blocks=1, cond_dim=1,
+                             time_embed_dim=2)
+        backbone = {name: np.zeros_like(w) for name, w in init_backbone(cfg, 0).items()}
+        backbone["w_in"] = np.eye(2)
+        backbone["w_out"] = np.eye(2)
+        stack = init_adapters(cfg, 1, 2, "all", "relu", 0)
+        stack.params[(0, 0)].w1 = np.eye(2)
+        stack.params[(0, 0)].w2 = np.eye(2)
+        state = ModelState(config=cfg, backbone=backbone, adapters=stack)
+        X, T, C = np.array([[-1.0, 2.0]]), np.array([0.5]), np.zeros((1, 1))
+        out = routed(state, X, T, C, 0)
+        assert np.array_equal(out, np.array([[-1.0, 4.0]]))
+        assert np.array_equal(out, reference(state, X, T, C, 0))
 
     def test_matches_naive_matmul_oracle(self):
-        rng = rng_for(11, "adapter")
-        w1 = rng.standard_normal((6, 4))
-        w2 = rng.standard_normal((4, 6))
-        h = rng.standard_normal(4)
-        ad = AdapterParams(w1=w1, w2=w2, expert_id=0, block_id=0)
-        out = adapter_forward(ad, h, nonlinearity="relu")
-        # naive double loop; agreement up to accumulation-order rounding
-        y = [sum(w1[i][j] * h[j] for j in range(4)) for i in range(6)]
-        z = [max(v, 0.0) for v in y]
-        expected = [sum(w2[i][j] * z[j] for j in range(6)) for i in range(4)]
-        assert np.allclose(out, expected, rtol=1e-13, atol=1e-13)
+        state = small_state(nonlinearity="relu", zero_w2=False, seed=11)
+        X, T, C = small_inputs(state, seed=11)
+        # plain scalar loops; agreement up to accumulation-order rounding
+        for k in range(2):
+            assert np.allclose(routed(state, X, T, C, k), reference(state, X, T, C, k),
+                               rtol=1e-13, atol=1e-13)
 
     def test_shape_mismatch(self):
-        ad = AdapterParams(w1=np.ones((4, 3)), w2=np.zeros((3, 4)), expert_id=0, block_id=0)
-        with pytest.raises(ValueError):
-            adapter_forward(ad, np.zeros(5))
+        state = small_state()
+        stack = state.adapters
+        stack.params[(0, 0)].w1 = np.ones((stack.adapter_dim, state.config.hidden_dim + 1))
+        with pytest.raises(ValueError, match="bad w1 shape"):
+            stack.validate(state.config)
 
 
 class TestBlockForward:
     def test_zero_init_identity_bit_exact(self):
         state = small_state(zero_w2=True)
-        bare = ModelState(config=state.config, backbone=state.backbone, adapters=None)
-        h = rng_for(1, "h").standard_normal(state.config.hidden_dim)
-        for l in range(state.config.num_blocks):
-            for k in range(2):
-                assert np.array_equal(
-                    block_forward(state, l, h, expert_id=k), block_forward(bare, l, h)
-                )
+        X, T, C = small_inputs(state, seed=1)
+        base = model_forward(bare(state), X, T, C)
+        assert np.allclose(base, reference(bare(state), X, T, C, None), rtol=1e-13, atol=1e-13)
+        for k in range(2):
+            assert np.array_equal(routed(state, X, T, C, k), base)
 
     def test_unadapted_block_ignores_expert(self):
-        state = small_state(placement="last:1", zero_w2=False)
-        h = rng_for(2, "h").standard_normal(state.config.hidden_dim)
-        assert np.array_equal(
-            block_forward(state, 0, h, expert_id=0), block_forward(state, 0, h, expert_id=1)
-        )
+        none = small_state(placement="none")
+        X, T, C = small_inputs(none, seed=2)
+        base = model_forward(bare(none), X, T, C)
+        for k in range(2):
+            assert np.array_equal(routed(none, X, T, C, k), base)
+        # with adapters on the last block only, block 0 adds no adapter term
+        last = small_state(placement="last:1", zero_w2=False)
+        for k in range(2):
+            assert np.allclose(routed(last, X, T, C, k), reference(last, X, T, C, k),
+                               rtol=1e-13, atol=1e-13)
 
     def test_compositional_oracle_per_expert(self):
         state = small_state(zero_w2=False)
-        bare = ModelState(config=state.config, backbone=state.backbone, adapters=None)
-        h = rng_for(3, "h").standard_normal(state.config.hidden_dim)
-        base = block_forward(bare, 1, h)
+        X, T, C = small_inputs(state, seed=3)
         outs = []
         for k in range(2):
-            got = block_forward(state, 1, h, expert_id=k)
-            expected = base + adapter_forward(
-                state.adapters.params[(k, 1)], h, state.adapters.nonlinearity
-            )
-            assert np.allclose(got, expected, rtol=0, atol=0)
+            got = routed(state, X, T, C, k)
+            assert np.allclose(got, reference(state, X, T, C, k), rtol=1e-13, atol=1e-13)
             outs.append(got)
         assert not np.array_equal(outs[0], outs[1])
 
     def test_expert_out_of_range_on_adapted_block(self):
         state = small_state()
-        h = np.zeros(state.config.hidden_dim)
-        with pytest.raises(ValueError):
-            block_forward(state, 0, h, expert_id=7)
+        X, T, C = small_inputs(state, n=1)
+        for expert in (7, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                routed(state, X, T, C, expert)
 
 
-class TestRoute:
-    def test_lookup_and_stability(self):
-        corpus = generate_corpus(tail8_specs(100), 2, seed=4)
-        part = random_partition(corpus, 4, seed=1)
-        sample = corpus.samples[10]
-        expected = int(part.assignments[10])
-        assert route(sample, part) == expected
-        assert all(route(sample, part) == expected for _ in range(100))
+@pytest.mark.parametrize("placement", ["last:1", "0,1"])
+def test_probe_gradient_rows_match_finite_differences(placement):
+    state = small_state(num_experts=1, placement=placement, zero_w2=False, seed=13)
+    x1, _, cond = small_inputs(state, n=4, seed=13)
+    rng = rng_for(13, "draws")
+    t_draws = rng.uniform(0.05, 0.95, 3)
+    x0_draws = rng.standard_normal((3, state.config.data_dim))
+    rows = per_sample_probe_gradients(state, x1, cond, t_draws, x0_draws)
 
-    def test_single_expert_always_zero(self):
-        corpus = generate_corpus(tail8_specs(50), 2, seed=4)
-        part = single_partition(corpus)
-        assert all(route(s, part) == 0 for s in corpus.samples)
+    def sample_losses():
+        # each sample's probe loss: mean over draws of mean((v - (x1 - x0))^2)
+        total = np.zeros(len(x1))
+        for t, x0 in zip(t_draws, x0_draws):
+            v = routed(state, (1.0 - t) * x0 + t * x1, np.full(len(x1), t), cond, 0)
+            total += ((v - (x1 - x0)) ** 2).mean(axis=1)
+        return total / len(t_draws)
 
-    def test_unknown_sample(self):
-        corpus = generate_corpus(tail8_specs(50), 2, seed=4)
-        part = single_partition(corpus)
-        with pytest.raises(UnknownSampleError):
-            route(corpus.samples[0].__class__(sample_id=999, x=np.zeros(2), class_id=0,
-                                              embedding=np.zeros(16)), part)
+    # columns: per block in placement order, w1 then w2, each row-major
+    h = 1e-5
+    columns = []
+    for l in state.adapters.placement:
+        for name in ("w1", "w2"):
+            p = getattr(state.adapters.params[(0, l)], name)
+            for idx in np.ndindex(p.shape):
+                orig = p[idx]
+                p[idx] = orig + h
+                lp = sample_losses()
+                p[idx] = orig - h
+                lm = sample_losses()
+                p[idx] = orig
+                columns.append((lp - lm) / (2 * h))
+    fd = np.stack(columns, axis=1)
+    assert fd.shape == rows.shape
+    scale = np.maximum(np.abs(fd), np.abs(rows))
+    checked = scale > 1e-12
+    assert checked.mean() > 0.9
+    assert np.max(np.abs(fd - rows)[checked] / scale[checked]) < 1e-4
 
 
 class TestFlowMatchingLoss:
@@ -331,19 +391,29 @@ class TestSgd:
         assert not np.array_equal(before, state.backbone["w_out"])
 
 
+def euler_loop(state, c, expert_id, steps, seed):
+    """Reference trajectory: explicit Euler over model_forward at conditioning c."""
+    x0 = rng_for(seed, "sample-noise").standard_normal((1, state.config.data_dim))
+    return euler_reference(
+        lambda x, t: model_forward(state, x, np.full(len(x), t), np.tile(c, (len(x), 1)),
+                                   np.full(len(x), expert_id)),
+        x0, steps,
+    )
+
+
 class TestSampling:
     def test_scale_one_collapses_to_conditional(self):
         state = small_state(zero_w2=False)
         cond = rng_for(5, "cond").standard_normal(4)
-        got = cfg_sample(state, cond, 0, guidance_scale=1.0, steps=6, seed=9)
-        ref = sample_conditional(state, cond, 0, steps=6, seed=9)
+        got = sample_batch(state, cond, 0, guidance_scale=1.0, steps=6, count=1, seed=9)
+        ref = euler_loop(state, cond, 0, steps=6, seed=9)
         assert np.array_equal(got, ref)
 
     def test_scale_zero_collapses_to_unconditional(self):
         state = small_state(zero_w2=False)
         cond = rng_for(5, "cond").standard_normal(4)
-        got = cfg_sample(state, cond, 0, guidance_scale=0.0, steps=6, seed=9)
-        ref = sample_unconditional(state, 0, steps=6, seed=9)
+        got = sample_batch(state, cond, 0, guidance_scale=0.0, steps=6, count=1, seed=9)
+        ref = euler_loop(state, np.zeros(4), 0, steps=6, seed=9)
         assert np.array_equal(got, ref)
 
     def test_single_euler_step_oracle(self):
@@ -356,7 +426,7 @@ class TestSampling:
         vu = model_forward(state, x0, np.array([0.0]), null[None, :], np.array([0]))
         vc = model_forward(state, x0, np.array([0.0]), cond[None, :], np.array([0]))
         expected = x0[0] + (vu[0] + s * (vc[0] - vu[0]))
-        got = cfg_sample(state, cond, 0, guidance_scale=s, steps=1, seed=seed)
+        got = sample_batch(state, cond, 0, guidance_scale=s, steps=1, count=1, seed=seed)[0]
         assert np.allclose(got, expected, rtol=0, atol=0)
 
     def test_deterministic_per_seed(self):
@@ -371,9 +441,9 @@ class TestSampling:
     def test_invalid_arguments(self):
         state = small_state()
         with pytest.raises(ValueError):
-            cfg_sample(state, np.zeros(4), 0, 1.0, steps=0, seed=0)
+            sample_batch(state, np.zeros(4), 0, 1.0, steps=0, count=1, seed=0)
         with pytest.raises(ValueError):
-            cfg_sample(state, np.zeros(4), 0, -1.0, steps=4, seed=0)
+            sample_batch(state, np.zeros(4), 0, -1.0, steps=4, count=1, seed=0)
 
 
 class TestPlacementParity:
@@ -420,6 +490,7 @@ def test_checkpoint_round_trip(tmp_path):
     for key in state.adapters.params:
         assert np.array_equal(state.adapters.params[key].w1, loaded.adapters.params[key].w1)
         assert np.array_equal(state.adapters.params[key].w2, loaded.adapters.params[key].w2)
-    x = np.zeros(3)
-    c = np.zeros(4)
-    assert np.array_equal(backbone_forward(state, x, 0.5, c), backbone_forward(loaded, x, 0.5, c))
+    X, T, C = small_inputs(state, n=2)
+    experts = np.array([0, 1])
+    assert np.array_equal(model_forward(state, X, T, C, experts),
+                          model_forward(loaded, X, T, C, experts))

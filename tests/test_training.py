@@ -193,6 +193,8 @@ class TestConflictMeasurement:
     def test_single_partition_equals_global_mean(self, corpus):
         state = make_state(corpus, pretrain=40)
         single = single_partition(corpus)
+        # the single-expert control routes every sample to expert 0
+        assert single.num_experts == 1 and np.all(single.assignments == 0)
         [score] = measure_conflict_reduction(state, corpus, [single],
                                              probe_size=len(corpus), seed=0)
         # with the probe covering the whole corpus, the single cluster's
