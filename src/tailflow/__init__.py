@@ -11,7 +11,6 @@ from .config import ExperimentConfig, load_experiment_config
 from .datagen import (
     ClassSpec,
     Corpus,
-    SampleRecord,
     blob_specs,
     chest_longtail_specs,
     generate_corpus,
@@ -32,7 +31,6 @@ from .metrics import (
     knn_radius,
 )
 from .model import (
-    AdapterParams,
     AdapterStack,
     BackboneConfig,
     ModelState,

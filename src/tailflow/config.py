@@ -51,6 +51,13 @@ def _int_value(key: str, value) -> int:
     return value
 
 
+def _float_value(key: str, value) -> float:
+    # float(value) would turn true into 1.0 and not name the key of a bad string
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key}: expected a number, got {value!r}")
+    return float(value)
+
+
 def _parse_value(raw: str):
     raw = raw.strip()
     if "," in raw:
@@ -195,7 +202,7 @@ class ExperimentConfig:
                 elif isinstance(current, int):
                     setattr(cfg, attr, _int_value(key, value))
                 elif isinstance(current, float):
-                    setattr(cfg, attr, float(value))
+                    setattr(cfg, attr, _float_value(key, value))
                 else:
                     setattr(cfg, attr, str(value))
         cfg.validate()

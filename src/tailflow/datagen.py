@@ -6,9 +6,14 @@ Each sample also carries a deterministic embedding surrogate: a fixed random
 unit vector per class plus per-sample jitter, standing in for a text/label
 encoder. Only the induced similarity structure matters downstream.
 
-Corpus files are line-delimited plain text (one sample per line) with a
-versioned ``#``-header; floats are written with ``repr`` so round trips are
-lossless.
+A corpus is three row-aligned arrays: ``x`` (n, dimension) data rows,
+``embeddings`` (n, embedding_dim) and ``labels`` (n,) int64 class ids. The
+sample id is the row index, so ids are dense from 0 by construction;
+``generate_corpus`` groups the rows by class in spec order.
+
+Corpus files are line-delimited plain text (one sample per line: id, class
+id, data row, embedding row) with a versioned ``#``-header; floats are
+written with ``repr`` so round trips are lossless.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from .seeding import rng_for
 
 __all__ = [
     "ClassSpec",
-    "SampleRecord",
     "Corpus",
     "generate_corpus",
     "label_embedding",
@@ -89,18 +93,12 @@ class ClassSpec:
 
 
 @dataclass
-class SampleRecord:
-    """One training sample with its embedding surrogate."""
-
-    sample_id: int
-    x: np.ndarray
-    class_id: int
-    embedding: np.ndarray
-
-
-@dataclass
 class Corpus:
-    samples: list[SampleRecord]
+    """Row i of ``x``, ``embeddings`` and ``labels`` is sample i."""
+
+    x: np.ndarray  # (n, dimension)
+    embeddings: np.ndarray  # (n, embedding_dim)
+    labels: np.ndarray  # (n,) int64 class ids
     classes: list[ClassSpec]
     dimension: int
     seed: int
@@ -108,26 +106,23 @@ class Corpus:
     noise_scale: float = DEFAULT_NOISE_SCALE
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.labels)
 
     @property
     def num_classes(self) -> int:
         return len(self.classes)
 
     def x_matrix(self) -> np.ndarray:
-        return np.stack([s.x for s in self.samples])
+        return self.x
 
     def embedding_matrix(self) -> np.ndarray:
-        return np.stack([s.embedding for s in self.samples])
+        return self.embeddings
 
     def class_ids(self) -> np.ndarray:
-        return np.array([s.class_id for s in self.samples], dtype=np.int64)
+        return self.labels
 
     def class_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {c.class_id: 0 for c in self.classes}
-        for s in self.samples:
-            counts[s.class_id] += 1
-        return counts
+        return {c.class_id: int(np.count_nonzero(self.labels == c.class_id)) for c in self.classes}
 
     def healthy_class_id(self) -> int | None:
         for c in self.classes:
@@ -136,24 +131,22 @@ class Corpus:
         return None
 
     def validate(self) -> None:
-        known = {c.class_id for c in self.classes}
-        if len(known) != len(self.classes):
+        known = [c.class_id for c in self.classes]
+        if len(set(known)) != len(known):
             raise ValueError("duplicate class ids in spec")
         if sum(c.is_healthy for c in self.classes) > 1:
             raise ValueError("at most one class may be healthy")
         for c in self.classes:
             c.validate(self.dimension)
+        unknown = np.flatnonzero(~np.isin(self.labels, known))
+        if len(unknown):
+            raise ValueError(f"sample {unknown[0]} has unknown class {self.labels[unknown[0]]}")
         counts = self.class_counts()
         for c in self.classes:
             if counts[c.class_id] != c.count:
                 raise ValueError(
                     f"class {c.class_id}: {counts[c.class_id]} samples, spec says {c.count}"
                 )
-        for i, s in enumerate(self.samples):
-            if s.sample_id != i:
-                raise ValueError("sample ids must be dense from 0 in order")
-            if s.class_id not in known:
-                raise ValueError(f"sample {i} has unknown class {s.class_id}")
 
 
 def _unit_class_vector(class_id: int, seed: int, dim: int) -> np.ndarray:
@@ -175,7 +168,8 @@ def label_embedding(
 
 
 def text_embedding_surrogate(
-    sample: SampleRecord,
+    sample_id: int,
+    class_id: int,
     noise_scale: float,
     seed: int,
     dim: int = DEFAULT_EMBEDDING_DIM,
@@ -185,8 +179,7 @@ def text_embedding_surrogate(
     With noise_scale = 0 this equals the class label embedding exactly.
     Deterministic per (sample_id, seed).
     """
-    return _jittered(_unit_class_vector(sample.class_id, seed, dim), noise_scale, seed,
-                     sample.sample_id)
+    return _jittered(_unit_class_vector(class_id, seed, dim), noise_scale, seed, sample_id)
 
 
 def _jittered(base: np.ndarray, noise_scale: float, seed: int, sample_id: int) -> np.ndarray:
@@ -216,19 +209,21 @@ def generate_corpus(
     for c in spec:
         c.validate(dimension)
 
-    samples: list[SampleRecord] = []
-    sid = 0
+    xs = []
+    embeddings = np.empty((sum(c.count for c in spec), embedding_dim))
+    start = 0
     for c in spec:
         mean = np.asarray(c.mean, dtype=np.float64)
         draws = rng_for(seed, "class-draw", c.class_id).standard_normal((c.count, dimension))
-        xs = mean[None, :] + c.scale * draws
+        xs.append(mean[None, :] + c.scale * draws)
         base = _unit_class_vector(c.class_id, seed, embedding_dim)
-        for i in range(c.count):
-            embedding = _jittered(base, noise_scale, seed, sid)
-            samples.append(SampleRecord(sid, xs[i], c.class_id, embedding))
-            sid += 1
+        for sid in range(start, start + c.count):
+            embeddings[sid] = _jittered(base, noise_scale, seed, sid)
+        start += c.count
     corpus = Corpus(
-        samples=samples,
+        x=np.concatenate(xs),
+        embeddings=embeddings,
+        labels=np.repeat([c.class_id for c in spec], [c.count for c in spec]).astype(np.int64),
         classes=list(spec),
         dimension=dimension,
         seed=seed,
@@ -328,8 +323,8 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             f"# class {c.class_id} count={c.count} scale={c.scale!r} "
             f"healthy={int(c.is_healthy)} mean={mean}"
         )
-    for s in corpus.samples:
-        lines.append(f"{s.sample_id} {s.class_id} {_fmt_floats(s.x)} {_fmt_floats(s.embedding)}")
+    for sid, (x, label, embedding) in enumerate(zip(corpus.x, corpus.labels, corpus.embeddings)):
+        lines.append(f"{sid} {label} {_fmt_floats(x)} {_fmt_floats(embedding)}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -344,7 +339,10 @@ def load_corpus(path: str | Path) -> Corpus:
 
     meta: dict[str, str] = {}
     classes: list[ClassSpec] = []
-    samples: list[SampleRecord] = []
+    ids: list[int] = []
+    labels: list[int] = []
+    xs: list[list[float]] = []
+    embeddings: list[list[float]] = []
     for line in lines[1:]:
         if not line.strip():
             continue
@@ -372,20 +370,21 @@ def load_corpus(path: str | Path) -> Corpus:
             edim = int(meta["embedding_dim"])
             if len(fields) != 2 + dim + edim:
                 raise ValueError(f"{path}: bad record width {len(fields)}")
-            samples.append(
-                SampleRecord(
-                    sample_id=int(fields[0]),
-                    class_id=int(fields[1]),
-                    x=np.array([float(v) for v in fields[2 : 2 + dim]]),
-                    embedding=np.array([float(v) for v in fields[2 + dim :]]),
-                )
-            )
+            ids.append(int(fields[0]))
+            labels.append(int(fields[1]))
+            xs.append([float(v) for v in fields[2 : 2 + dim]])
+            embeddings.append([float(v) for v in fields[2 + dim :]])
+    if ids != list(range(len(ids))):
+        raise ValueError(f"{path}: sample ids must be dense from 0 in order")
+    dim, edim = int(meta["dimension"]), int(meta["embedding_dim"])
     corpus = Corpus(
-        samples=samples,
+        x=np.array(xs, dtype=np.float64).reshape(-1, dim),
+        embeddings=np.array(embeddings, dtype=np.float64).reshape(-1, edim),
+        labels=np.array(labels, dtype=np.int64),
         classes=classes,
-        dimension=int(meta["dimension"]),
+        dimension=dim,
         seed=int(meta["seed"]),
-        embedding_dim=int(meta["embedding_dim"]),
+        embedding_dim=edim,
         noise_scale=float(meta["noise_scale"]),
     )
     corpus.validate()

@@ -12,8 +12,9 @@ the "features" are the data vectors themselves.
 
 ``evaluate`` builds three distance matrices and reads every value of its
 report from them: train x train (diagonal set to inf once, for the k-NN
-radii), train x generated (coverage; its transpose is generated x train,
-since ``(a - b)**2`` equals ``(b - a)**2`` exactly) and generated x test.
+radii), train x generated (coverage; the argmin down its columns, taken in
+blocks of columns, gives each generated row's 1-NN in train, since
+``(a - b)**2`` equals ``(b - a)**2`` exactly) and generated x test.
 Each per-class row reads ``np.ix_`` slices of the same three matrices. The
 public metric functions and ``evaluate`` share one implementation of each
 metric, written on distance matrices.
@@ -134,9 +135,20 @@ def _nearest_ids(gen_to_ref: np.ndarray, ref_ids: np.ndarray) -> np.ndarray:
     return ref_ids[np.argmin(gen_to_ref, axis=1)]
 
 
-def _irs(gen_to_ref: np.ndarray, ref_ids: np.ndarray) -> float:
+def _nearest_ids_by_column(ref_to_gen: np.ndarray, ref_ids: np.ndarray) -> np.ndarray:
+    """``_nearest_ids`` of ``ref_to_gen.T`` without a transposed copy of the
+    whole matrix: the argmin down blocks of ``_ROW_BLOCK`` columns. Each
+    column's argmin still runs over all rows, so the first minimum wins."""
+    nearest = np.empty(ref_to_gen.shape[1], dtype=np.intp)
+    for start in range(0, len(nearest), _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        nearest[start:stop] = np.argmin(ref_to_gen[:, start:stop], axis=0)
+    return ref_ids[nearest]
+
+
+def _irs(nearest_ids: np.ndarray, ref_ids: np.ndarray) -> float:
     """Fraction of reference ids retrieved as some generated row's 1-NN."""
-    return len(np.unique(_nearest_ids(gen_to_ref, ref_ids))) / len(ref_ids)
+    return len(np.unique(nearest_ids)) / len(ref_ids)
 
 
 def knn_radii(fset: FeatureSet, k: int) -> np.ndarray:
@@ -177,8 +189,7 @@ def retrieval_ids(generated: FeatureSet, reference: FeatureSet) -> np.ndarray:
 
 def irs(generated: FeatureSet, reference: FeatureSet) -> float:
     """Fraction of reference ids retrieved as some generated vector's 1-NN."""
-    _require_nonempty(generated, reference)
-    return _irs(_distance_matrix(generated.vectors, reference.vectors), reference.ids)
+    return _irs(retrieval_ids(generated, reference), reference.ids)
 
 
 def adjusted_score(test_score: float, train_score: float) -> float:
@@ -307,13 +318,13 @@ def _row(
     train with an inf diagonal, train x generated, generated x test)."""
     row: dict[str, float | None] = {
         "coverage": _coverage(_knn_radii(train_train, k), train_gen),
-        "irs_train": _irs(train_gen.T, train.ids),
+        "irs_train": _irs(_nearest_ids_by_column(train_gen, train.ids), train.ids),
         "irs_test": None,
         "irs_adjusted": None,
         "frechet": frechet_distance(train, generated) if len(generated) >= 2 else None,
     }
     if len(test_ids) > 0:
-        row["irs_test"] = _irs(gen_test, test_ids)
+        row["irs_test"] = _irs(_nearest_ids(gen_test, test_ids), test_ids)
         row["irs_adjusted"] = adjusted_score(row["irs_test"], row["irs_train"])
     return row
 

@@ -20,13 +20,22 @@ t = 0 to t = 1, optionally blending conditional and unconditional
 predictions (v = v_u + s (v_c - v_u)); scales 0 and 1 collapse exactly to
 the pure unconditional / conditional trajectories.
 
+All adapters live in two stacked arrays: ``AdapterStack.w1`` has shape
+(K, P, r, d) and ``w2`` (K, P, d, r), for K experts, the P adapted blocks in
+placement order, adapter width r and hidden width d. ``w1[k, j]`` is the
+down-projection of expert k at block ``placement[j]``; the number of experts
+and the width are read off these shapes. ``LossGradients`` holds two arrays
+of the same shapes, so an SGD step is one subtraction per tensor.
+
 Forward and backward passes are hand-written numpy, one of each: the batched
-forward ``_forward_group`` (behind ``model_forward``) and ``_backward_group``.
-The backward returns, per adapted block, the factors whose products are the
-adapter gradients; ``flow_matching_loss`` sums them over the batch and
-``per_sample_probe_gradients`` keeps one outer product per sample. Gradients
-exist only for the adapters routed by a batch (and for the backbone only
-when it is explicitly unfrozen, which the fine-tuning contract forbids).
+forward ``_forward_group`` (behind ``model_forward``) and ``_backward_group``,
+both run once per expert group of a batch. The backward returns, per adapted
+block, the factors whose products are the adapter gradients;
+``flow_matching_loss`` sums them over the batch and
+``per_sample_probe_gradients`` keeps one outer product per sample. Experts
+that route no sample of a batch get exact-zero gradients, and the backbone
+gets gradients only when it is explicitly unfrozen, which the fine-tuning
+contract forbids.
 """
 
 from __future__ import annotations
@@ -45,7 +54,6 @@ from .seeding import rng_for
 
 __all__ = [
     "BackboneConfig",
-    "AdapterParams",
     "AdapterStack",
     "ModelState",
     "LossGradients",
@@ -112,39 +120,31 @@ class BackboneConfig:
 
 
 @dataclass
-class AdapterParams:
-    """Down/up projection pair owned by one (expert, block) slot."""
-
-    w1: np.ndarray  # (adapter_dim, hidden_dim)
-    w2: np.ndarray  # (hidden_dim, adapter_dim)
-    expert_id: int
-    block_id: int
-
-
-@dataclass
 class AdapterStack:
-    num_experts: int
-    adapter_dim: int
     placement: tuple[int, ...]
     nonlinearity: str
-    params: dict[tuple[int, int], AdapterParams]
+    w1: np.ndarray  # (num_experts, len(placement), adapter_dim, hidden_dim)
+    w2: np.ndarray  # (num_experts, len(placement), hidden_dim, adapter_dim)
+
+    @property
+    def num_experts(self) -> int:
+        return self.w1.shape[0]
+
+    @property
+    def adapter_dim(self) -> int:
+        return self.w1.shape[2]
 
     def validate(self, config: BackboneConfig) -> None:
         if self.nonlinearity not in _ACTIVATIONS:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
-        expected = {(k, l) for k in range(self.num_experts) for l in self.placement}
-        if set(self.params) != expected:
-            raise ValueError("adapter params must cover exactly experts x placement")
-        for (k, l), p in self.params.items():
-            if p.w1.shape != (self.adapter_dim, config.hidden_dim):
-                raise ValueError(f"adapter ({k},{l}): bad w1 shape {p.w1.shape}")
-            if p.w2.shape != (config.hidden_dim, self.adapter_dim):
-                raise ValueError(f"adapter ({k},{l}): bad w2 shape {p.w2.shape}")
-            if (p.expert_id, p.block_id) != (k, l):
-                raise ValueError(f"adapter ({k},{l}): mislabeled params")
+        P, d = len(self.placement), config.hidden_dim
+        if self.w1.ndim != 4 or self.w1.shape[1:] != (P, self.adapter_dim, d):
+            raise ValueError(f"bad w1 shape {self.w1.shape}")
+        if self.w2.shape != (self.num_experts, P, d, self.adapter_dim):
+            raise ValueError(f"bad w2 shape {self.w2.shape}")
 
     def parameter_count(self) -> int:
-        return sum(p.w1.size + p.w2.size for p in self.params.values())
+        return self.w1.size + self.w2.size
 
 
 @dataclass
@@ -157,11 +157,12 @@ class ModelState:
 
 @dataclass
 class LossGradients:
-    """Adapter gradients for every (expert, block) slot; experts that routed
-    no sample hold exact zeros. Backbone gradients exist only when the
-    backbone is unfrozen."""
+    """Adapter gradients shaped like the stack's ``w1`` and ``w2`` (None
+    without adapters); experts that routed no sample hold exact zeros.
+    Backbone gradients exist only when the backbone is unfrozen."""
 
-    adapters: dict[tuple[int, int], dict[str, np.ndarray]]
+    w1: np.ndarray | None
+    w2: np.ndarray | None
     backbone: dict[str, np.ndarray] | None = None
 
 
@@ -225,21 +226,16 @@ def init_adapters(
     if num_experts < 1 or adapter_dim < 1:
         raise ValueError("num_experts and adapter_dim must be positive")
     blocks = resolve_placement(config.num_blocks, placement)
-    params: dict[tuple[int, int], AdapterParams] = {}
+    d = config.hidden_dim
+    w1 = np.empty((num_experts, len(blocks), adapter_dim, d))
     for k in range(num_experts):
-        for l in blocks:
-            rng = rng_for(seed, "adapter-init", k, l)
-            w1 = rng.standard_normal((adapter_dim, config.hidden_dim)) / math.sqrt(
-                config.hidden_dim
-            )
-            w2 = np.zeros((config.hidden_dim, adapter_dim))
-            params[(k, l)] = AdapterParams(w1=w1, w2=w2, expert_id=k, block_id=l)
+        for j, l in enumerate(blocks):
+            w1[k, j] = rng_for(seed, "adapter-init", k, l).standard_normal((adapter_dim, d))
     stack = AdapterStack(
-        num_experts=num_experts,
-        adapter_dim=adapter_dim,
         placement=blocks,
         nonlinearity=nonlinearity,
-        params=params,
+        w1=w1 / math.sqrt(d),
+        w2=np.zeros((num_experts, len(blocks), d, adapter_dim)),
     )
     stack.validate(config)
     return stack
@@ -283,11 +279,11 @@ def _forward_group(
         f = g @ p[f"block{l}.u"].T + p[f"block{l}.e"]
         entry = {"a": a, "g": g}
         if use_adapters and l in state.adapters.placement:
-            ad = state.adapters.params[(expert_id, l)]
-            y = h @ ad.w1.T
+            j = state.adapters.placement.index(l)
+            y = h @ state.adapters.w1[expert_id, j].T
             z = act(y)
             entry["y"], entry["z"] = y, z
-            h = h + f + z @ ad.w2.T
+            h = h + f + z @ state.adapters.w2[expert_id, j].T
         else:
             h = h + f
         if keep_cache:
@@ -311,9 +307,9 @@ def _backward_group(
 
     Accumulates backbone gradients into ``backbone_grads`` when given.
     Returns ``(dh, factors)``: ``dh`` is the gradient at the input hidden
-    state, and ``factors[l] = (dh_l, z_l, dy_l, h_in_l)`` for each adapted
-    block l. Row i's adapter gradients are the outer products
-    dW2 = dh_l[i] z_l[i]^T and dW1 = dy_l[i] h_in_l[i]^T.
+    state, and ``factors[j] = (dh_l, z_l, dy_l, h_in_l)`` for the adapted
+    block l = ``placement[j]``. Row i's adapter gradients are the outer
+    products dW2 = dh_l[i] z_l[i]^T and dW1 = dy_l[i] h_in_l[i]^T.
     """
     cfg = state.config
     p = state.backbone
@@ -343,11 +339,11 @@ def _backward_group(
 
         dh_ad = 0.0
         if "y" in entry:
-            ad = state.adapters.params[(expert_id, l)]
-            dz = dh @ ad.w2
+            j = state.adapters.placement.index(l)
+            dz = dh @ state.adapters.w2[expert_id, j]
             dy = dz * act_grad(entry["y"])
-            factors[l] = (dh, entry["z"], dy, h_in)
-            dh_ad = dy @ ad.w1
+            factors[j] = (dh, entry["z"], dy, h_in)
+            dh_ad = dy @ state.adapters.w1[expert_id, j]
 
         dh = dh + dh_ff + dh_ad
 
@@ -400,24 +396,13 @@ def model_forward(
     return out
 
 
-def _zero_adapter_grads(stack: AdapterStack) -> dict[tuple[int, int], dict[str, np.ndarray]]:
-    return {
-        key: {"w1": np.zeros_like(p.w1), "w2": np.zeros_like(p.w2)}
-        for key, p in stack.params.items()
-    }
-
-
-def _zero_backbone_grads(backbone: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in backbone.items()}
-
-
 def flow_matching_loss(
     state: ModelState,
     batch,
     seed: int,
     cond_dropout: float = 0.0,
 ) -> tuple[float, LossGradients]:
-    """Rectified-flow loss and gradients for one batch.
+    """Rectified-flow loss and gradients for one ``training.TrainBatch``.
 
     Per sample: t ~ U[0,1], x0 ~ N(0,I), x_t = (1-t) x0 + t x1, target
     velocity x1 - x0, squared error averaged over the batch and data
@@ -431,11 +416,8 @@ def flow_matching_loss(
             "the no-adapter full-training control"
         )
     cfg = state.config
-    records = [s for s, _ in batch.samples]
-    experts = np.array([k for _, k in batch.samples], dtype=np.int64)
-    n = len(records)
-    x1 = np.stack([s.x for s in records])
-    cond = np.stack([s.embedding for s in records]).astype(np.float64)
+    experts, x1, cond = batch.experts, batch.x, batch.cond
+    n = len(experts)
 
     rng = rng_for(seed, "flow-loss")
     t = rng.uniform(0.0, 1.0, size=n)
@@ -448,12 +430,16 @@ def flow_matching_loss(
     x_t = (1.0 - t)[:, None] * x0 + t[:, None] * x1
     v_target = x1 - x0
 
-    adapter_grads = _zero_adapter_grads(state.adapters) if state.adapters is not None else {}
-    backbone_grads = None if state.frozen else _zero_backbone_grads(state.backbone)
+    stack = state.adapters
+    grad_w1 = None if stack is None else np.zeros_like(stack.w1)
+    grad_w2 = None if stack is None else np.zeros_like(stack.w2)
+    backbone_grads = None if state.frozen else {
+        name: np.zeros_like(arr) for name, arr in state.backbone.items()
+    }
 
     v_pred = np.empty_like(v_target)
     groups: list[tuple[np.ndarray, dict]] = []
-    if state.adapters is None:
+    if stack is None:
         out, cache = _forward_group(state, x_t, t, cond, None, keep_cache=True)
         v_pred[:] = out
         groups.append((np.arange(n), cache))
@@ -471,21 +457,18 @@ def flow_matching_loss(
 
     for idx, cache in groups:
         _, factors = _backward_group(state, cache, d_pred[idx], backbone_grads)
-        for l, (dh, z, dy, h_in) in factors.items():
-            slot = adapter_grads[(cache["expert_id"], l)]
-            slot["w2"] += dh.T @ z
-            slot["w1"] += dy.T @ h_in
+        for j, (dh, z, dy, h_in) in factors.items():
+            grad_w2[cache["expert_id"], j] += dh.T @ z
+            grad_w1[cache["expert_id"], j] += dy.T @ h_in
 
-    return loss, LossGradients(adapters=adapter_grads, backbone=backbone_grads)
+    return loss, LossGradients(w1=grad_w1, w2=grad_w2, backbone=backbone_grads)
 
 
 def sgd_step(state: ModelState, grads: LossGradients, lr: float) -> None:
     """In-place plain SGD update. Frozen backbones are never touched."""
     if state.adapters is not None:
-        for key, g in grads.adapters.items():
-            p = state.adapters.params[key]
-            p.w1 -= lr * g["w1"]
-            p.w2 -= lr * g["w2"]
+        state.adapters.w1 -= lr * grads.w1
+        state.adapters.w2 -= lr * grads.w2
     if grads.backbone is not None:
         if state.frozen:
             raise ContractViolationError("backbone gradients supplied for a frozen backbone")
@@ -581,8 +564,8 @@ def per_sample_probe_gradients(
         d_out = 2.0 * (out - v_target) / state.config.data_dim
         _, factors = _backward_group(state, cache, d_out, None)
         offset = 0
-        for l in state.adapters.placement:
-            dh, z, dy, h_in = factors[l]
+        for j in range(len(state.adapters.placement)):
+            dh, z, dy, h_in = factors[j]
             for grad in (np.einsum("ni,nj->nij", dy, h_in), np.einsum("ni,nj->nij", dh, z)):
                 total[:, offset : offset + grad[0].size] += grad.reshape(n, -1)
                 offset += grad[0].size
@@ -614,9 +597,10 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
     for name, arr in state.backbone.items():
         arrays[f"backbone/{name}"] = arr
     if state.adapters is not None:
-        for (k, l), p in state.adapters.params.items():
-            arrays[f"adapter/{k}/{l}/w1"] = p.w1
-            arrays[f"adapter/{k}/{l}/w2"] = p.w2
+        for k in range(state.adapters.num_experts):
+            for j, l in enumerate(state.adapters.placement):
+                arrays[f"adapter/{k}/{l}/w1"] = state.adapters.w1[k, j]
+                arrays[f"adapter/{k}/{l}/w2"] = state.adapters.w2[k, j]
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -633,21 +617,18 @@ def load_checkpoint(path: str | Path) -> ModelState:
         adapters = None
         if meta["adapters"] is not None:
             am = meta["adapters"]
-            params = {}
-            for k in range(am["num_experts"]):
-                for l in am["placement"]:
-                    params[(k, l)] = AdapterParams(
-                        w1=data[f"adapter/{k}/{l}/w1"],
-                        w2=data[f"adapter/{k}/{l}/w2"],
-                        expert_id=k,
-                        block_id=l,
-                    )
+            num_experts, placement = am["num_experts"], tuple(am["placement"])
+
+            def stacked(name: str, dims: tuple[int, int]) -> np.ndarray:
+                slots = [data[f"adapter/{k}/{l}/{name}"]
+                         for k in range(num_experts) for l in placement]
+                if any(a.shape != dims for a in slots):
+                    raise ValueError(f"checkpoint adapter {name}: expected shape {dims}")
+                return np.array(slots).reshape((num_experts, len(placement)) + dims)
+
+            r, d = am["adapter_dim"], config.hidden_dim
             adapters = AdapterStack(
-                num_experts=am["num_experts"],
-                adapter_dim=am["adapter_dim"],
-                placement=tuple(am["placement"]),
-                nonlinearity=am["nonlinearity"],
-                params=params,
+                placement, am["nonlinearity"], stacked("w1", (r, d)), stacked("w2", (d, r))
             )
             adapters.validate(config)
     return ModelState(config=config, backbone=backbone, adapters=adapters, frozen=meta["frozen"])

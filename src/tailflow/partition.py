@@ -184,10 +184,10 @@ def partition_conflict(
     elif features == "gradients":
         if gradients is None:
             raise ValueError("gradients mode requires a gradient map")
-        missing = [s.sample_id for s in corpus.samples if s.sample_id not in gradients]
+        missing = [i for i in range(len(corpus)) if i not in gradients]
         if missing:
             raise ValueError(f"missing gradients for samples {missing[:5]}...")
-        vectors = np.stack([gradients[s.sample_id] for s in corpus.samples])
+        vectors = np.stack([gradients[i] for i in range(len(corpus))])
     else:
         raise ValueError(f"unknown feature source {features!r}")
     unit = _normalized_rows(np.asarray(vectors, dtype=np.float64), features)
@@ -249,7 +249,9 @@ def label_tier_partition(corpus: Corpus, num_experts: int = 4) -> Partition:
     if num_experts == 4:
         class_to_tier[healthy] = 3
 
-    assignments = np.array([class_to_tier[s.class_id] for s in corpus.samples], dtype=np.int64)
+    assignments = np.empty(len(corpus), dtype=np.int64)
+    for cid, tier in class_to_tier.items():
+        assignments[corpus.labels == cid] = tier
     return _build(corpus, assignments, num_experts, METHOD_LABEL_TIER)
 
 

@@ -82,10 +82,15 @@ class RunManifest:
     out_dir: str = "."
     format_version: int = MANIFEST_VERSION
 
-    def artifact(self, stage: str, name: str) -> Path:
+    def read_artifact(self, stage: str, name: str) -> bytes:
+        """The artifact's bytes, checked against the sha256 recorded for it."""
+        path = Path(self.out_dir, "manifest.json")
         if stage not in self.stages:
-            raise ValueError(f"{Path(self.out_dir, 'manifest.json')}: stage {stage!r} has not run")
-        return Path(self.out_dir) / self.stages[stage]["artifacts"][name]
+            raise ValueError(f"{path}: stage {stage!r} has not run")
+        data = (Path(self.out_dir) / self.stages[stage]["artifacts"][name]).read_bytes()
+        if hashlib.sha256(data).hexdigest() != self.stages[stage]["sha256"][name]:
+            raise ValueError(f"{path}: {name} does not match its recorded sha256")
+        return data
 
     def to_json(self) -> str:
         payload = {
@@ -329,14 +334,15 @@ def run_stage(
 
 
 def compare_runs(manifests: list[RunManifest], labels: list[str] | None = None) -> str:
-    """One CSV row per run: aggregate and macro metrics plus utilization gap."""
+    """One CSV row per run: aggregate and macro metrics plus utilization gap.
+    Each artifact read is first checked against its manifest's sha256."""
     if len(manifests) < 2:
         raise ValueError("need at least two manifests to compare")
     rows = []
     schema = None
     for idx, man in enumerate(manifests):
-        metrics = json.loads(man.artifact("evaluate", "metrics.json").read_text())
-        ledger = json.loads(man.artifact("train", "ledger.json").read_text())
+        metrics = json.loads(man.read_artifact("evaluate", "metrics.json"))
+        ledger = json.loads(man.read_artifact("train", "ledger.json"))
         key = (metrics["format_version"], metrics["k"])
         if schema is None:
             schema = key

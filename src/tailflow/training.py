@@ -21,11 +21,11 @@ import csv
 import io
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datagen import Corpus, SampleRecord
+from .datagen import Corpus
 from .errors import ContractViolationError
 from .model import (
     ModelState,
@@ -40,6 +40,7 @@ from .partition import (
     _cluster_conflict,
     _cluster_conflicts,
     _normalized_rows,
+    single_partition,
 )
 from .seeding import derive_seed, rng_for
 
@@ -60,16 +61,22 @@ LEDGER_VERSION = 1
 
 @dataclass
 class TrainBatch:
-    samples: list[tuple[SampleRecord, int]]
-    resampled_flags: list[bool]
-    batch_size: int
+    """Row i is corpus sample ``samples[i]``, routed to ``experts[i]``; ``x``
+    and ``cond`` hold that sample's data row and embedding."""
 
-    def __post_init__(self):
-        if len(self.samples) != self.batch_size or len(self.resampled_flags) != self.batch_size:
-            raise ValueError("batch fields misaligned with batch_size")
+    samples: np.ndarray  # (n,) int64 corpus row indices
+    experts: np.ndarray  # (n,) int64 expert ids
+    resampled_flags: np.ndarray  # (n,) bool
+    x: np.ndarray  # (n, dimension)
+    cond: np.ndarray  # (n, embedding_dim)
 
-    def expert_ids(self) -> np.ndarray:
-        return np.array([k for _, k in self.samples], dtype=np.int64)
+    @classmethod
+    def gather(
+        cls, corpus: Corpus, partition: Partition, samples, resampled_flags
+    ) -> "TrainBatch":
+        idx = np.asarray(samples, dtype=np.int64)
+        return cls(idx, partition.assignments[idx], np.asarray(resampled_flags, dtype=bool),
+                   corpus.x[idx], corpus.embeddings[idx])
 
 
 @dataclass
@@ -119,9 +126,7 @@ def assemble_batch(
     K = partition.num_experts
     if not resample:
         idx = rng.integers(0, n, size=batch_size)
-        samples = [(corpus.samples[i], int(partition.assignments[i])) for i in idx]
-        return TrainBatch(samples=samples, resampled_flags=[False] * batch_size,
-                          batch_size=batch_size)
+        return TrainBatch.gather(corpus, partition, idx, np.zeros(batch_size, dtype=bool))
 
     if batch_size < K:
         raise ValueError(f"resampling needs batch_size >= K ({batch_size} < {K})")
@@ -129,21 +134,18 @@ def assemble_batch(
         raise ValueError("quota exceeds batch size")
 
     base = batch_size - quota
-    idx = list(rng.integers(0, n, size=base))
-    batch_counts = {k: 0 for k in range(K)}
-    for i in idx:
-        batch_counts[int(partition.assignments[i])] += 1
+    drawn = rng.integers(0, n, size=base)
+    batch_counts = np.bincount(partition.assignments[drawn], minlength=K)
 
     cumulative = ledger.per_expert_counts if ledger is not None else {k: 0 for k in range(K)}
     clusters = {k: partition.members(k) for k in range(K)}
     # priority: absent-from-batch first, then least cumulative use, then id
     order = sorted(range(K), key=lambda k: (batch_counts[k], cumulative.get(k, 0), k))
 
-    flags = [False] * base
+    extra: list[int] = []
     pos = 0
-    filled = 0
     skipped = 0
-    while filled < quota:
+    while len(extra) < quota:
         k = order[pos % K]
         pos += 1
         if len(clusters[k]) == 0:
@@ -155,12 +157,10 @@ def assemble_batch(
             continue
         skipped = 0
         members = clusters[k]
-        idx.append(int(members[rng.integers(0, len(members))]))
-        flags.append(True)
-        filled += 1
+        extra.append(int(members[rng.integers(0, len(members))]))
 
-    samples = [(corpus.samples[i], int(partition.assignments[i])) for i in idx]
-    return TrainBatch(samples=samples, resampled_flags=flags, batch_size=len(samples))
+    idx = np.concatenate([drawn, np.array(extra, dtype=np.int64)])
+    return TrainBatch.gather(corpus, partition, idx, np.arange(len(idx)) >= base)
 
 
 def _probe_state(backbone_state: ModelState, seed: int, probe_dim: int = 8) -> ModelState:
@@ -173,9 +173,7 @@ def _probe_state(backbone_state: ModelState, seed: int, probe_dim: int = 8) -> M
         cfg, num_experts=1, adapter_dim=probe_dim,
         placement="last:1", nonlinearity="gelu", seed=derive_seed(seed, "probe-w1"),
     )
-    rng = rng_for(seed, "probe-w2")
-    for p in stack.params.values():
-        p.w2 = rng.standard_normal(p.w2.shape) / np.sqrt(p.w2.shape[1])
+    stack.w2 = rng_for(seed, "probe-w2").standard_normal(stack.w2.shape) / np.sqrt(probe_dim)
     return ModelState(config=cfg, backbone=backbone_state.backbone, adapters=stack, frozen=True)
 
 
@@ -193,9 +191,9 @@ def _gradient_rows(
 ) -> np.ndarray:
     missing = [int(s) for s in sample_ids if cache is None or s not in cache]
     if missing:
-        x1 = np.stack([corpus.samples[s].x for s in missing])
-        cond = np.stack([corpus.samples[s].embedding for s in missing])
-        rows = per_sample_probe_gradients(probe, x1, cond, t_draws, x0_draws)
+        rows = per_sample_probe_gradients(
+            probe, corpus.x[missing], corpus.embeddings[missing], t_draws, x0_draws
+        )
         if cache is None:
             return rows
         for s, row in zip(missing, rows):
@@ -258,12 +256,7 @@ def train(
         raise ContractViolationError("train() requires a frozen backbone")
     if state.adapters is None:
         raise ContractViolationError("train() requires initialized adapters")
-    state = ModelState(
-        config=state.config,
-        backbone=state.backbone,
-        adapters=copy.deepcopy(state.adapters),
-        frozen=True,
-    )
+    state = replace(state, adapters=copy.deepcopy(state.adapters))
     ledger = UtilizationLedger.empty(partition.num_experts)
     traces: list[ConflictTrace] = []
 
@@ -282,7 +275,7 @@ def train(
             state, batch, seed=derive_seed(seed, "loss", step), cond_dropout=cond_dropout
         )
         sgd_step(state, grads, lr)
-        ledger.add(batch.expert_ids())
+        ledger.add(batch.experts)
         if trace_interval > 0 and (step + 1) % trace_interval == 0:
             traces.append(
                 _conflict_trace(
@@ -306,14 +299,7 @@ def pretrain_backbone(
     result is frozen and serves as the pre-trained base for fine-tuning."""
     if state.adapters is not None:
         raise ContractViolationError("pretraining runs without adapters")
-    work = ModelState(
-        config=state.config,
-        backbone={k: v.copy() for k, v in state.backbone.items()},
-        adapters=None,
-        frozen=False,
-    )
-    from .partition import single_partition
-
+    work = replace(state, backbone={k: v.copy() for k, v in state.backbone.items()}, frozen=False)
     part = single_partition(corpus)
     rng = rng_for(seed, "batches")
     for step in range(steps):

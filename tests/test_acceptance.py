@@ -150,24 +150,21 @@ def test_criterion_3_gradient_isolation():
                        frozen=False)
     state = pretrain_backbone(state, corpus, 40, 8, 0.01, seed=4)
     state.adapters = init_adapters(cfg, 4, 6, "all", "gelu", seed=5)
-    rng = rng_for(6, "w2")
-    for p in state.adapters.params.values():
-        p.w2 = rng.standard_normal(p.w2.shape) * 0.1
+    state.adapters.w2 = rng_for(6, "w2").standard_normal(state.adapters.w2.shape) * 0.1
     before = {k: v.copy() for k, v in state.backbone.items()}
 
     ok = True
     batch_rng = rng_for(7, "batches")
     for _ in range(50):
         batch = assemble_batch(corpus, part, 6, False, 0, batch_rng)
-        present = {k for _, k in batch.samples}
+        present = set(batch.experts.tolist())
         _, grads = flow_matching_loss(state, batch, seed=8)
         ok &= grads.backbone is None
         for k in range(4):
             if k in present:
                 continue
-            for l in state.adapters.placement:
-                ok &= bool(np.all(grads.adapters[(k, l)]["w1"] == 0.0))
-                ok &= bool(np.all(grads.adapters[(k, l)]["w2"] == 0.0))
+            ok &= bool(np.all(grads.w1[k] == 0.0))
+            ok &= bool(np.all(grads.w2[k] == 0.0))
         sgd_step(state, grads, lr=0.01)
     ok &= all(np.array_equal(before[k], state.backbone[k]) for k in before)
     report(3, "absent-expert adapter gradients and frozen-backbone updates exactly zero", ok)
@@ -179,9 +176,7 @@ def test_criterion_4_gradient_correctness():
     state = ModelState(config=cfg, backbone=init_backbone(cfg, 9),
                        adapters=init_adapters(cfg, 2, 6, "all", "gelu", 9), frozen=True)
     state.backbone["w_out"] = rng_for(9, "head").standard_normal((3, 8)) / 3.0
-    rng = rng_for(9, "w2")
-    for p in state.adapters.params.values():
-        p.w2 = rng.standard_normal(p.w2.shape) * 0.2
+    state.adapters.w2 = rng_for(9, "w2").standard_normal(state.adapters.w2.shape) * 0.2
 
     from tailflow.datagen import ClassSpec
 
@@ -195,10 +190,10 @@ def test_criterion_4_gradient_correctness():
     _, grads = flow_matching_loss(state, batch, seed=seed)
     h = 1e-5
     worst = 0.0
-    for key, g in grads.adapters.items():
+    for slot in np.ndindex(grads.w1.shape[:2]):
         for name in ("w1", "w2"):
-            p = getattr(state.adapters.params[key], name)
-            analytic = g[name]
+            p = getattr(state.adapters, name)[slot]
+            analytic = getattr(grads, name)[slot]
             for idx in itertools.product(range(0, p.shape[0], 3), range(0, p.shape[1], 3)):
                 orig = p[idx]
                 p[idx] = orig + h
@@ -310,7 +305,7 @@ class _BatchRecorder:
             self.batches += 1
             nonempty = {k for k in range(partition.num_experts)
                         if len(partition.members(k)) > 0}
-            present = {int(k) for _, k in batch.samples}
+            present = set(batch.experts.tolist())
             if not nonempty <= present:
                 self.violations += 1
         return batch
@@ -413,9 +408,7 @@ def test_criterion_9_cfg_collapse_and_default_scale():
     state = ModelState(config=cfg, backbone=init_backbone(cfg, 19),
                        adapters=init_adapters(cfg, 2, 6, "all", "gelu", 19), frozen=True)
     state.backbone["w_out"] = rng_for(19, "head").standard_normal((2, 16)) / 4.0
-    rng = rng_for(19, "w2")
-    for p in state.adapters.params.values():
-        p.w2 = rng.standard_normal(p.w2.shape) * 0.1
+    state.adapters.w2 = rng_for(19, "w2").standard_normal(state.adapters.w2.shape) * 0.1
     cond = rng_for(20, "cond").standard_normal(8)
 
     def euler_loop(c):

@@ -110,7 +110,14 @@ def test_validation():
     ("train.steps = 2.9", "train.steps: expected an integer, got 2.9"),
     ("metrics.k = true", "metrics.k: expected an integer, got True"),
     ("seeds = 4.7", "seeds: expected an integer, got 4.7"),
+    ("train.lr = true", "train.lr: expected a number, got True"),
+    ("train.lr = fast", "train.lr: expected a number, got 'fast'"),
 ])
 def test_integer_keys_reject_non_integers(text, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_flat(parse_config_text(text))
+
+
+def test_float_keys_accept_integers():
+    cfg = ExperimentConfig.from_flat(parse_config_text("train.lr = 1"))
+    assert cfg.train_lr == 1.0 and isinstance(cfg.train_lr, float)

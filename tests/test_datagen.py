@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailflow.datagen import (
     CHEST_LONGTAIL_COUNTS,
@@ -18,8 +23,9 @@ def test_single_class_corpus():
     spec = [ClassSpec(class_id=0, mean=(0.0, 0.0), scale=1.0, count=3, is_healthy=True)]
     corpus = generate_corpus(spec, 2, seed=7)
     assert len(corpus) == 3
-    assert all(s.class_id == 0 for s in corpus.samples)
-    assert [s.sample_id for s in corpus.samples] == [0, 1, 2]
+    assert corpus.class_ids().tolist() == [0, 0, 0]
+    assert corpus.x_matrix().shape == (3, 2)
+    assert corpus.embedding_matrix().shape == (3, corpus.embedding_dim)
 
 
 def test_generation_is_deterministic():
@@ -83,26 +89,26 @@ def test_label_embedding_range_check():
 
 def test_surrogate_zero_noise_equals_label_embedding():
     corpus = generate_corpus(tail8_specs(50), 2, seed=9, noise_scale=0.0)
-    for s in corpus.samples[:10]:
-        expected = label_embedding(s.class_id, 8, seed=9, dim=corpus.embedding_dim)
-        assert np.array_equal(s.embedding, expected)
+    for sid, cid in enumerate(corpus.class_ids()[:10].tolist()):
+        expected = label_embedding(cid, 8, seed=9, dim=corpus.embedding_dim)
+        assert np.array_equal(corpus.embedding_matrix()[sid], expected)
         assert np.array_equal(
-            text_embedding_surrogate(s, 0.0, 9, corpus.embedding_dim), expected
+            text_embedding_surrogate(sid, cid, 0.0, 9, corpus.embedding_dim), expected
         )
 
 
 def test_corpus_embeddings_equal_per_sample_surrogate():
     corpus = generate_corpus(tail8_specs(80), 2, seed=9, noise_scale=0.1)
-    for s in corpus.samples:
-        expected = text_embedding_surrogate(s, 0.1, 9, corpus.embedding_dim)
-        assert np.array_equal(s.embedding, expected)
+    for sid, cid in enumerate(corpus.class_ids().tolist()):
+        expected = text_embedding_surrogate(sid, cid, 0.1, 9, corpus.embedding_dim)
+        assert np.array_equal(corpus.embedding_matrix()[sid], expected)
 
 
 def test_surrogate_deterministic():
     corpus = generate_corpus(tail8_specs(50), 2, seed=9)
-    s = corpus.samples[17]
-    a = text_embedding_surrogate(s, 0.1, 9)
-    b = text_embedding_surrogate(s, 0.1, 9)
+    cid = int(corpus.class_ids()[17])
+    a = text_embedding_surrogate(17, cid, 0.1, 9)
+    b = text_embedding_surrogate(17, cid, 0.1, 9)
     assert np.array_equal(a, b)
 
 
@@ -127,7 +133,7 @@ def test_surrogate_within_class_cosine_exceeds_between():
 def test_surrogate_negative_noise_rejected():
     corpus = generate_corpus(tail8_specs(20), 2, seed=1)
     with pytest.raises(ValueError):
-        text_embedding_surrogate(corpus.samples[0], -0.1, 1)
+        text_embedding_surrogate(0, int(corpus.class_ids()[0]), -0.1, 1)
     with pytest.raises(ValueError):
         generate_corpus(tail8_specs(20), 2, seed=1, noise_scale=-0.1)
 
@@ -163,3 +169,52 @@ def test_corpus_round_trip_is_lossless(tmp_path):
         loaded.embedding_dim,
         loaded.noise_scale,
     )
+
+
+@st.composite
+def class_specs(draw):
+    dimension = draw(st.integers(1, 3))
+    coord = st.floats(-1e3, 1e3, allow_nan=False)
+    num_classes = draw(st.integers(1, 4))
+    healthy = draw(st.integers(-1, num_classes - 1))
+    ids = draw(st.lists(st.integers(0, 50), min_size=num_classes, max_size=num_classes,
+                        unique=True))
+    return dimension, [
+        ClassSpec(class_id=cid, mean=tuple(draw(st.lists(coord, min_size=dimension,
+                                                         max_size=dimension))),
+                  scale=draw(st.floats(1e-3, 10.0)), count=draw(st.integers(1, 5)),
+                  is_healthy=(i == healthy))
+        for i, cid in enumerate(ids)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=class_specs(), seed=st.integers(0, 2**32 - 1), embedding_dim=st.integers(1, 4),
+       noise=st.sampled_from([0.0, 0.05]) | st.floats(1e-6, 2.0))
+def test_corpus_round_trip_property(spec, seed, embedding_dim, noise):
+    dimension, classes = spec
+    corpus = generate_corpus(classes, dimension, seed, embedding_dim, noise)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.txt"
+        save_corpus(corpus, path)
+        loaded = load_corpus(path)
+    for name in ("x", "embeddings", "labels"):
+        a, b = getattr(corpus, name), getattr(loaded, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert loaded.classes == corpus.classes
+    assert (loaded.seed, loaded.noise_scale) == (seed, noise)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda fields: ["5"] + fields[1:], "sample ids must be dense from 0"),
+    (lambda fields: fields[:1] + ["99"] + fields[2:], "sample 0 has unknown class 99"),
+])
+def test_load_corpus_rejects_bad_records(tmp_path, edit, message):
+    path = tmp_path / "corpus.txt"
+    save_corpus(generate_corpus(tail8_specs(40), 2, seed=4), path)
+    lines = path.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    lines[first] = " ".join(edit(lines[first].split()))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_corpus(path)

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -76,6 +77,29 @@ def test_blocked_distance_matrix_equals_brute_force():
         got = metrics_mod._distance_matrix(a, b)
         assert got.shape == (n, 3)
         assert all(got[i, j] == dist(a[i], b[j]) for i in range(n) for j in range(3))
+
+
+def test_irs_train_takes_no_transposed_copy():
+    # coarse points, so tied 1-NN distances abound; irs_train reads the
+    # argmin down train x generated columns block by block, where a
+    # transposed copy of the whole matrix would cost train_gen.nbytes
+    rng = np.random.default_rng(22)
+    train = fs(np.round(rng.standard_normal((600, 2)), 1), "train")
+    gen = fs(np.round(rng.standard_normal((3000, 2)), 1), "generated")
+    train_train = metrics_mod._distance_matrix(train.vectors, train.vectors)
+    np.fill_diagonal(train_train, np.inf)
+    train_gen = metrics_mod._distance_matrix(train.vectors, gen.vectors)
+    tracemalloc.start()
+    try:
+        row = metrics_mod._row(train_train, train_gen, np.empty((3000, 0)), train, gen,
+                               np.array([], dtype=np.int64), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < train_gen.nbytes / 2
+    assert row["irs_train"] == irs(gen, train)
+    assert np.array_equal(metrics_mod._nearest_ids_by_column(train_gen, train.ids),
+                          metrics_mod._nearest_ids(train_gen.T, train.ids))
 
 
 class TestCoverage:

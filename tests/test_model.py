@@ -1,5 +1,12 @@
+import dataclasses
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tailflow.model as model_mod
 from oracles import euler_reference, forward_reference
@@ -21,7 +28,7 @@ from tailflow.model import (
 )
 from tailflow.partition import random_partition
 from tailflow.seeding import rng_for
-from tailflow.training import TrainBatch, assemble_batch
+from tailflow.training import assemble_batch
 
 
 def small_state(num_experts=2, adapter_dim=6, placement="all", nonlinearity="gelu",
@@ -39,9 +46,8 @@ def small_state(num_experts=2, adapter_dim=6, placement="all", nonlinearity="gel
     rng = rng_for(seed, "test-head")
     state.backbone["w_out"] = rng.standard_normal((data_dim, hidden)) / np.sqrt(hidden)
     if not zero_w2:
-        rng = rng_for(seed, "test-w2")
-        for p in state.adapters.params.values():
-            p.w2 = rng.standard_normal(p.w2.shape) * 0.2
+        # one draw over the stack: the per-(expert, block) draws in k-major order
+        state.adapters.w2 = rng_for(seed, "test-w2").standard_normal(state.adapters.w2.shape) * 0.2
     return state
 
 
@@ -71,9 +77,8 @@ def reference(state, X, T, C, expert_id):
     adapters, nonlinearity = {}, "gelu"
     if state.adapters is not None:
         nonlinearity = state.adapters.nonlinearity
-        adapters = {l: (state.adapters.params[(expert_id, l)].w1,
-                        state.adapters.params[(expert_id, l)].w2)
-                    for l in state.adapters.placement}
+        adapters = {l: (state.adapters.w1[expert_id, j], state.adapters.w2[expert_id, j])
+                    for j, l in enumerate(state.adapters.placement)}
     return np.stack([forward_reference(state.backbone, adapters, x, t, c, nonlinearity)
                      for x, t, c in zip(X, T, C)])
 
@@ -142,8 +147,7 @@ class TestAdapterForward:
 
     def test_zero_up_projection(self):
         state = small_state(nonlinearity="relu", zero_w2=True)
-        for p in state.adapters.params.values():
-            p.w1 = np.ones_like(p.w1)
+        state.adapters.w1 = np.ones_like(state.adapters.w1)
         X, T, C = small_inputs(state)
         for k in range(2):
             assert np.array_equal(routed(state, X, T, C, k), model_forward(bare(state), X, T, C))
@@ -157,8 +161,8 @@ class TestAdapterForward:
         backbone["w_in"] = np.eye(2)
         backbone["w_out"] = np.eye(2)
         stack = init_adapters(cfg, 1, 2, "all", "relu", 0)
-        stack.params[(0, 0)].w1 = np.eye(2)
-        stack.params[(0, 0)].w2 = np.eye(2)
+        stack.w1[0, 0] = np.eye(2)
+        stack.w2[0, 0] = np.eye(2)
         state = ModelState(config=cfg, backbone=backbone, adapters=stack)
         X, T, C = np.array([[-1.0, 2.0]]), np.array([0.5]), np.zeros((1, 1))
         out = routed(state, X, T, C, 0)
@@ -176,7 +180,7 @@ class TestAdapterForward:
     def test_shape_mismatch(self):
         state = small_state()
         stack = state.adapters
-        stack.params[(0, 0)].w1 = np.ones((stack.adapter_dim, state.config.hidden_dim + 1))
+        stack.w1 = np.ones(stack.w1.shape[:3] + (state.config.hidden_dim + 1,))
         with pytest.raises(ValueError, match="bad w1 shape"):
             stack.validate(state.config)
 
@@ -240,9 +244,9 @@ def test_probe_gradient_rows_match_finite_differences(placement):
     # columns: per block in placement order, w1 then w2, each row-major
     h = 1e-5
     columns = []
-    for l in state.adapters.placement:
+    for j in range(len(state.adapters.placement)):
         for name in ("w1", "w2"):
-            p = getattr(state.adapters.params[(0, l)], name)
+            p = getattr(state.adapters, name)[0, j]
             for idx in np.ndindex(p.shape):
                 orig = p[idx]
                 p[idx] = orig + h
@@ -267,10 +271,10 @@ class TestFlowMatchingLoss:
         batch = small_batch(state, n=6)
         seed = 99
         rng = rng_for(seed, "flow-loss")
-        n = batch.batch_size
+        n = len(batch.samples)
         t_all = rng.uniform(0.0, 1.0, size=n)
         x0_all = rng.standard_normal((n, state.config.data_dim))
-        x1_all = np.stack([s.x for s, _ in batch.samples])
+        x1_all = batch.x
         v_star = x1_all - x0_all
         xt_all = (1.0 - t_all)[:, None] * x0_all + t_all[:, None] * x1_all
 
@@ -295,31 +299,24 @@ class TestFlowMatchingLoss:
         loss, _ = flow_matching_loss(state, batch, seed=seed)
 
         rng = rng_for(seed, "flow-loss")
-        n = batch.batch_size
+        n = len(batch.samples)
         t = rng.uniform(0.0, 1.0, size=n)
         x0 = rng.standard_normal((n, state.config.data_dim))
-        x1 = np.stack([s.x for s, _ in batch.samples])
-        cond = np.stack([s.embedding for s, _ in batch.samples])
+        x1 = batch.x
         xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
-        v = model_forward(state, xt, t, cond, np.array([k for _, k in batch.samples]))
+        v = model_forward(state, xt, t, batch.cond, batch.experts)
         assert loss == pytest.approx(float(((v - (x1 - x0)) ** 2).mean()), rel=1e-12)
 
     def test_gradient_isolation_for_absent_expert(self):
         state = small_state(num_experts=3, zero_w2=False)
         batch = small_batch(state, n=5)
         # force every sample onto expert 0
-        forced = TrainBatch(
-            samples=[(s, 0) for s, _ in batch.samples],
-            resampled_flags=batch.resampled_flags,
-            batch_size=batch.batch_size,
-        )
+        forced = dataclasses.replace(batch, experts=np.zeros_like(batch.experts))
         _, grads = flow_matching_loss(state, forced, seed=5)
-        for k in (1, 2):
-            for l in state.adapters.placement:
-                assert np.all(grads.adapters[(k, l)]["w1"] == 0.0)
-                assert np.all(grads.adapters[(k, l)]["w2"] == 0.0)
+        assert np.all(grads.w1[1:] == 0.0)
+        assert np.all(grads.w2[1:] == 0.0)
         assert grads.backbone is None
-        assert any(np.any(grads.adapters[(0, l)]["w2"] != 0.0) for l in state.adapters.placement)
+        assert any(np.any(grads.w2[0, j] != 0.0) for j in range(len(state.adapters.placement)))
 
     def test_analytic_gradients_match_finite_differences(self):
         # d = 8, two blocks, adapter width 6 (also acceptance criterion 4)
@@ -329,10 +326,10 @@ class TestFlowMatchingLoss:
         _, grads = flow_matching_loss(state, batch, seed=seed)
         h = 1e-5
         worst = 0.0
-        for key, g in grads.adapters.items():
+        for slot in np.ndindex(grads.w1.shape[:2]):
             for name in ("w1", "w2"):
-                p = getattr(state.adapters.params[key], name)
-                analytic = g[name]
+                p = getattr(state.adapters, name)[slot]
+                analytic = getattr(grads, name)[slot]
                 for idx in [(0, 0), (1, 2), (p.shape[0] - 1, p.shape[1] - 1)]:
                     orig = p[idx]
                     p[idx] = orig + h
@@ -356,10 +353,8 @@ class TestFlowMatchingLoss:
         # outputs depend on the partition only through the sample's own expert
         state = small_state(zero_w2=False)
         batch = small_batch(state, n=4)
-        records = [s for s, _ in batch.samples]
-        x = np.stack([s.x for s in records])
-        t = np.full(len(records), 0.5)
-        c = np.stack([s.embedding for s in records])
+        x, c = batch.x, batch.cond
+        t = np.full(len(x), 0.5)
         experts_a = np.array([0, 1, 0, 1])
         experts_b = np.array([0, 0, 1, 1])
         out_a = model_forward(state, x, t, c, experts_a)
@@ -487,10 +482,54 @@ def test_checkpoint_round_trip(tmp_path):
     for name in state.backbone:
         assert np.array_equal(state.backbone[name], loaded.backbone[name])
     assert loaded.adapters.placement == state.adapters.placement
-    for key in state.adapters.params:
-        assert np.array_equal(state.adapters.params[key].w1, loaded.adapters.params[key].w1)
-        assert np.array_equal(state.adapters.params[key].w2, loaded.adapters.params[key].w2)
+    assert np.array_equal(state.adapters.w1, loaded.adapters.w1)
+    assert np.array_equal(state.adapters.w2, loaded.adapters.w2)
     X, T, C = small_inputs(state, n=2)
     experts = np.array([0, 1])
     assert np.array_equal(model_forward(state, X, T, C, experts),
                           model_forward(loaded, X, T, C, experts))
+
+
+def test_stacked_weights_equal_per_slot_draws():
+    # one draw over the stacked shape is the per-(expert, block) draws in
+    # k-major, then block order, which the tests' weight draws rely on
+    shape = (3, 2, 8, 6)
+    rng = rng_for(1, "test-w2")
+    per_slot = [rng.standard_normal(shape[2:]) for _ in range(shape[0] * shape[1])]
+    assert np.array_equal(rng_for(1, "test-w2").standard_normal(shape),
+                          np.array(per_slot).reshape(shape))
+    # init_adapters keeps one stream per (expert, block) slot
+    cfg = BackboneConfig(data_dim=2, hidden_dim=8, num_blocks=3, cond_dim=4, time_embed_dim=4)
+    stack = init_adapters(cfg, 2, 5, "0,2", "gelu", seed=4)
+    for k in range(2):
+        for j, l in enumerate((0, 2)):
+            draw = rng_for(4, "adapter-init", k, l).standard_normal((5, 8)) / math.sqrt(8)
+            assert np.array_equal(stack.w1[k, j], draw)
+    assert stack.num_experts == 2 and stack.adapter_dim == 5
+
+
+@settings(max_examples=25, deadline=None)
+@given(num_experts=st.integers(1, 4), width=st.integers(1, 9),
+       blocks=st.sets(st.integers(0, 2), max_size=3),
+       nonlinearity=st.sampled_from(["gelu", "relu"]), seed=st.integers(0, 2**16))
+def test_checkpoint_round_trip_property(num_experts, width, blocks, nonlinearity, seed):
+    state = small_state(num_experts, width, sorted(blocks), nonlinearity, blocks=3, seed=seed,
+                        zero_w2=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.npz"
+        save_checkpoint(state, path)
+        with np.load(path) as data:
+            keys = [name for name in data.files if name.startswith("adapter/")]
+        loaded = load_checkpoint(path)
+    placement = state.adapters.placement
+    assert keys == [f"adapter/{k}/{l}/{name}" for k in range(num_experts) for l in placement
+                    for name in ("w1", "w2")]
+    assert (loaded.adapters.placement, loaded.adapters.nonlinearity) == (placement, nonlinearity)
+    for name in ("w1", "w2"):
+        a, b = getattr(state.adapters, name), getattr(loaded.adapters, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    X, T, C = small_inputs(state, n=6, seed=seed)
+    experts = np.arange(6) % num_experts
+    assert model_forward(state, X, T, C, experts).tobytes() == (
+        model_forward(loaded, X, T, C, experts).tobytes()
+    )

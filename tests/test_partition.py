@@ -58,9 +58,8 @@ def corpus_with_embeddings(embeddings, class_ids=None):
     ]
     corpus = generate_corpus(specs, 2, seed=0, embedding_dim=len(embeddings[0]))
     order = sorted(range(n), key=lambda i: class_ids[i])
-    for slot, idx in enumerate(order):
-        corpus.samples[slot].class_id = class_ids[idx]
-        corpus.samples[slot].embedding = np.asarray(embeddings[idx], dtype=np.float64)
+    corpus.labels[:] = [class_ids[idx] for idx in order]
+    corpus.embeddings[:] = [embeddings[idx] for idx in order]
     return corpus
 
 
@@ -125,10 +124,10 @@ class TestPartitionConflict:
 
     def test_supplied_gradients_mode(self):
         corpus = make_corpus(blob_specs(2, 3), seed=1)
-        grads = {s.sample_id: np.array([1.0, float(s.class_id)]) for s in corpus.samples}
+        grads = {i: np.array([1.0, float(c)]) for i, c in enumerate(corpus.class_ids())}
         part = single_partition(corpus)
         score = partition_conflict(corpus, part, features="gradients", gradients=grads)
-        rows = np.stack([grads[s.sample_id] for s in corpus.samples])
+        rows = np.stack([grads[i] for i in range(len(corpus))])
         assert score.overall == pytest.approx(mean_pairwise_conflict_brute(rows), rel=1e-10)
         grads.pop(0)
         with pytest.raises(ValueError):
@@ -144,7 +143,7 @@ class TestPartitionConflict:
         assignments = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
         corpus = make_corpus([ClassSpec(class_id=0, mean=(0.0, 0.0), scale=1.0, count=n)])
         part = Partition(assignments=assignments, num_experts=k, method="random", composition=[])
-        grads = {s.sample_id: rows[i] for i, s in enumerate(corpus.samples)}
+        grads = dict(enumerate(rows))
         score = partition_conflict(corpus, part, features="gradients", gradients=grads)
         assert score.overall == pytest.approx(
             partition_objective_brute(rows, assignments, k), abs=1e-12

@@ -1,4 +1,5 @@
 import json
+import shutil
 import time
 
 import numpy as np
@@ -213,6 +214,19 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'evaluate'" in err and str(a / "manifest.json") in err
+
+    def test_compare_rejects_an_artifact_edited_after_its_run(self, smoke_run, tmp_path, capsys):
+        out, _, _ = smoke_run
+        edited = tmp_path / "edited"
+        shutil.copytree(out, edited)
+        metrics = edited / "metrics.json"
+        metrics.write_text(metrics.read_text().replace("{", "{ ", 1))
+        rc = main(["compare", str(out / "manifest.json"), str(edited / "manifest.json"),
+                   "--out", str(tmp_path / "cmp")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(edited / "manifest.json") in err and "metrics.json" in err
+        assert not (tmp_path / "cmp").exists()
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["not-a-command"]) == 1
