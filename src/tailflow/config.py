@@ -10,10 +10,12 @@ key order or formatting.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .datagen import ClassSpec, chest_longtail_specs, tail8_specs
+from .model import _ACTIVATIONS
+from .partition import _METHODS
 
 __all__ = [
     "CONFIG_VERSION",
@@ -26,6 +28,9 @@ __all__ = [
 ]
 
 CONFIG_VERSION = 1
+
+# corpus.profile -> the class specs it builds from (size, dimension)
+_PROFILES = {"chest-longtail": chest_longtail_specs, "tail8": tail8_specs}
 
 
 def _parse_scalar(raw: str):
@@ -144,37 +149,6 @@ class ExperimentConfig:
 
     explicit_classes: dict[str, object] = field(default_factory=dict)
 
-    _KEYS = {
-        "seeds": "seeds",
-        "corpus.profile": "corpus_profile",
-        "corpus.size": "corpus_size",
-        "corpus.test_size": "corpus_test_size",
-        "corpus.dimension": "corpus_dimension",
-        "corpus.embedding_dim": "corpus_embedding_dim",
-        "corpus.noise_scale": "corpus_noise_scale",
-        "partition.method": "partition_method",
-        "partition.experts": "partition_experts",
-        "backbone.hidden_dim": "backbone_hidden_dim",
-        "backbone.blocks": "backbone_blocks",
-        "backbone.time_embed_dim": "backbone_time_embed_dim",
-        "adapter.dim": "adapter_dim",
-        "adapter.placement": "adapter_placement",
-        "adapter.nonlinearity": "adapter_nonlinearity",
-        "train.pretrain_steps": "train_pretrain_steps",
-        "train.pretrain_lr": "train_pretrain_lr",
-        "train.steps": "train_steps",
-        "train.batch_size": "train_batch_size",
-        "train.lr": "train_lr",
-        "train.resample": "train_resample",
-        "train.quota": "train_quota",
-        "train.cond_dropout": "train_cond_dropout",
-        "train.trace_interval": "train_trace_interval",
-        "sample.steps": "sample_steps",
-        "sample.guidance_scale": "sample_guidance_scale",
-        "sample.per_class": "sample_per_class",
-        "metrics.k": "metrics_k",
-    }
-
     @classmethod
     def from_flat(cls, flat: dict[str, object]) -> "ExperimentConfig":
         version = flat.get("version", CONFIG_VERSION)
@@ -187,9 +161,9 @@ class ExperimentConfig:
             if key.startswith("class."):
                 cfg.explicit_classes[key] = value
                 continue
-            if key not in cls._KEYS:
+            if key not in _KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            attr = cls._KEYS[key]
+            attr = _KEYS[key]
             if attr == "seeds":
                 values = value if isinstance(value, list) else [value]
                 cfg.seeds = [_int_value(key, v) for v in values]
@@ -210,7 +184,7 @@ class ExperimentConfig:
 
     def to_flat(self) -> dict[str, object]:
         flat: dict[str, object] = {"version": CONFIG_VERSION, "seeds": list(self.seeds)}
-        for key, attr in self._KEYS.items():
+        for key, attr in _KEYS.items():
             if key == "seeds":
                 continue
             flat[key] = getattr(self, attr)
@@ -234,6 +208,24 @@ class ExperimentConfig:
             raise ValueError("guidance scale must be >= 0")
         if self.train_quota > self.train_batch_size:
             raise ValueError("train.quota exceeds train.batch_size")
+        if self.partition_method not in _METHODS:
+            raise ValueError(f"partition.method: unknown method {self.partition_method!r}")
+        if self.adapter_nonlinearity not in _ACTIVATIONS:
+            raise ValueError(f"adapter.nonlinearity: unknown {self.adapter_nonlinearity!r}")
+        if not self.explicit_classes and self.corpus_profile not in _PROFILES:
+            raise ValueError(f"corpus.profile: unknown profile {self.corpus_profile!r}")
+        for key, lr in [("train.lr", self.train_lr),
+                        ("train.pretrain_lr", self.train_pretrain_lr)]:
+            if not lr > 0:  # also rejects nan
+                raise ValueError(f"{key}: must be > 0, got {lr!r}")
+
+
+# dotted config key -> field name: the field name with its first "_" as "."
+_KEYS = {
+    f.name.replace("_", ".", 1): f.name
+    for f in fields(ExperimentConfig)
+    if f.name != "explicit_classes"
+}
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -251,20 +243,27 @@ def class_specs_from_config(cfg: ExperimentConfig, total: int | None = None) -> 
         specs = []
         for cid in sorted(by_id):
             entry = by_id[cid]
+            missing = [attr for attr in ("mean", "scale", "count") if attr not in entry]
+            if missing:
+                raise ValueError(f"class.{cid}.{missing[0]}: required key missing")
             mean = entry["mean"]
-            mean = tuple(float(m) for m in (mean if isinstance(mean, list) else [mean]))
+            mean = tuple(
+                _float_value(f"class.{cid}.mean", m)
+                for m in (mean if isinstance(mean, list) else [mean])
+            )
+            healthy = entry.get("healthy", False)
+            if not isinstance(healthy, bool):
+                raise ValueError(f"class.{cid}.healthy: expected true/false, got {healthy!r}")
             specs.append(
                 ClassSpec(
                     class_id=cid,
                     mean=mean,
-                    scale=float(entry["scale"]),
-                    count=int(entry["count"]),
-                    is_healthy=bool(entry.get("healthy", False)),
+                    scale=_float_value(f"class.{cid}.scale", entry["scale"]),
+                    count=_int_value(f"class.{cid}.count", entry["count"]),
+                    is_healthy=healthy,
                 )
             )
         return specs
-    if cfg.corpus_profile == "chest-longtail":
-        return chest_longtail_specs(total, cfg.corpus_dimension)
-    if cfg.corpus_profile == "tail8":
-        return tail8_specs(total, cfg.corpus_dimension)
-    raise ValueError(f"unknown corpus profile {cfg.corpus_profile!r}")
+    if cfg.corpus_profile not in _PROFILES:
+        raise ValueError(f"corpus.profile: unknown profile {cfg.corpus_profile!r}")
+    return _PROFILES[cfg.corpus_profile](total, cfg.corpus_dimension)

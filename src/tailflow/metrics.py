@@ -28,7 +28,6 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -297,11 +296,9 @@ class MetricReport:
         return buf.getvalue()
 
 
-def _classes_of(fset: FeatureSet, class_map: Mapping[tuple[str, int], int] | None) -> np.ndarray:
-    if class_map is not None:
-        return np.array([class_map[(fset.tag, int(i))] for i in fset.ids], dtype=np.int64)
+def _classes_of(fset: FeatureSet) -> np.ndarray:
     if fset.classes is None:
-        raise ValueError(f"{fset.tag} set has no class labels and no class_map was given")
+        raise ValueError(f"{fset.tag} set has no class labels")
     return fset.classes
 
 
@@ -334,7 +331,6 @@ def evaluate(
     real_train: FeatureSet,
     real_test: FeatureSet,
     k: int = DEFAULT_K,
-    class_map: Mapping[tuple[str, int], int] | None = None,
 ) -> MetricReport:
     """Aggregate plus per-class metrics.
 
@@ -346,9 +342,9 @@ def evaluate(
     non-skipped classes, per field, ignoring undefined entries.
     """
     _require_nonempty(generated, real_train, real_test)
-    gen_cls = _classes_of(generated, class_map)
-    train_cls = _classes_of(real_train, class_map)
-    test_cls = _classes_of(real_test, class_map)
+    gen_cls = _classes_of(generated)
+    train_cls = _classes_of(real_train)
+    test_cls = _classes_of(real_test)
 
     train_train = _distance_matrix(real_train.vectors, real_train.vectors)
     np.fill_diagonal(train_train, np.inf)

@@ -27,11 +27,15 @@ down-projection of expert k at block ``placement[j]``; the number of experts
 and the width are read off these shapes. ``LossGradients`` holds two arrays
 of the same shapes, so an SGD step is one subtraction per tensor.
 
-Forward and backward passes are hand-written numpy, one of each: the batched
-forward ``_forward_group`` (behind ``model_forward``) and ``_backward_group``,
-both run once per expert group of a batch. The backward returns, per adapted
-block, the factors whose products are the adapter gradients;
-``flow_matching_loss`` sums them over the batch and
+Forward and backward passes are hand-written numpy, one of each, and each
+runs once per batch: ``_forward`` (behind ``model_forward``, the sampler and
+the probe) and ``_backward``. ``_route`` sorts the rows by expert once, with
+a stable sort, so each expert owns one contiguous slice of the batch. The
+shared backbone runs on all rows, and an adapted block adds expert k's
+W2 sigma(W1 h) to its own slice, one matmul per routed expert, the way
+S-LoRA and Punica serve many adapters in one batch. The backward returns,
+per adapted block, the factors whose products are the adapter gradients;
+``flow_matching_loss`` sums them over each expert's slice and
 ``per_sample_probe_gradients`` keeps one outer product per sample. Experts
 that route no sample of a batch get exact-zero gradients, and the backbone
 gets gradients only when it is explicitly unfrozen, which the fine-tuning
@@ -71,28 +75,32 @@ __all__ = [
 
 CHECKPOINT_VERSION = 1
 
+Slices = list[tuple[int, slice]]  # (k, rows) per routed expert, see _route
+
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
-
-
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # x * (0.5 (1 + erf)) equals 0.5 x (1 + erf) bit for bit; the backward reuses the cdf
     cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    return x * cdf, cdf
+
+
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return cdf + x * pdf
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def _relu(x: np.ndarray) -> tuple[np.ndarray, None]:
+    return np.maximum(x, 0.0), None
 
 
-def _relu_grad(x: np.ndarray) -> np.ndarray:
+def _relu_grad(x: np.ndarray, _) -> np.ndarray:
     return (x > 0.0).astype(np.float64)
 
 
+# name -> (forward returning (value, saved), gradient from (input, saved))
 _ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "gelu": (_gelu, _gelu_grad),
     "relu": (_relu, _relu_grad),
@@ -248,56 +256,70 @@ def time_features(t: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def _check_expert(state: ModelState, expert_id: int | None) -> None:
+def _route(state: ModelState, expert_ids, n: int) -> tuple[np.ndarray | slice, Slices]:
+    """Stable sort of n rows by expert, and each routed expert's contiguous
+    slice of the sorted rows. Without adapters expert ids are ignored and
+    there are no slices."""
     if state.adapters is None:
-        return
-    if expert_id is None or not 0 <= expert_id < state.adapters.num_experts:
-        raise ValueError(f"expert_id {expert_id} out of range for {state.adapters.num_experts}")
+        return slice(None), []
+    if expert_ids is None:
+        raise ValueError("expert_ids required when adapters are attached")
+    ids = np.asarray(expert_ids)
+    if ids.shape != (n,):
+        raise ValueError(f"expert_ids shape {ids.shape}, expected ({n},)")
+    K = state.adapters.num_experts
+    if ids.dtype.kind not in "iu" or np.any((ids < 0) | (ids >= K)):
+        raise ValueError(f"expert ids {np.unique(ids)} out of range for {K} experts")
+    slices, start = [], 0
+    for k, count in enumerate(np.bincount(ids, minlength=K).tolist()):
+        if count:
+            slices.append((k, slice(start, start + count)))
+        start += count
+    # with one routed expert the stable sort is the identity
+    return (slice(None) if len(slices) == 1 else np.argsort(ids, kind="stable")), slices
 
 
-def _forward_group(
-    state: ModelState,
-    X: np.ndarray,
-    T: np.ndarray,
-    C: np.ndarray,
-    expert_id: int | None,
-    keep_cache: bool = False,
-):
-    """Batched forward for samples sharing one expert (or no adapters)."""
-    cfg = state.config
-    p = state.backbone
-    use_adapters = state.adapters is not None and expert_id is not None
-    if use_adapters:
-        act, _ = _ACTIVATIONS[state.adapters.nonlinearity]
-    tau = time_features(T, cfg.time_embed_dim)
-    h = X @ p["w_in"].T + tau @ p["w_time"].T + C @ p["w_cond"].T + p["b_in"]
-    cache = {"X": X, "tau": tau, "C": C, "h": [h]} if keep_cache else None
-    blocks = []
-    for l in range(cfg.num_blocks):
-        a = h @ p[f"block{l}.v"].T + p[f"block{l}.c"]
-        g = _gelu(a)
-        f = g @ p[f"block{l}.u"].T + p[f"block{l}.e"]
-        entry = {"a": a, "g": g}
-        if use_adapters and l in state.adapters.placement:
-            j = state.adapters.placement.index(l)
-            y = h @ state.adapters.w1[expert_id, j].T
-            z = act(y)
-            entry["y"], entry["z"] = y, z
-            h = h + f + z @ state.adapters.w2[expert_id, j].T
-        else:
-            h = h + f
-        if keep_cache:
-            blocks.append(entry)
-            cache["h"].append(h)
-    out = h @ p["w_out"].T + p["b_out"]
-    if keep_cache:
-        cache["blocks"] = blocks
-        cache["expert_id"] = expert_id if use_adapters else None
-        return out, cache
+def _segment_matmul(x: np.ndarray, weights: np.ndarray, slices: Slices) -> np.ndarray:
+    """``x[rows] @ weights[k]`` per routed expert; the slices tile the rows."""
+    if len(slices) == 1:
+        return x @ weights[slices[0][0]]
+    out = np.empty((len(x), weights.shape[2]))
+    for k, rows in slices:
+        out[rows] = x[rows] @ weights[k]
     return out
 
 
-def _backward_group(
+def _forward(
+    state: ModelState, X: np.ndarray, T: np.ndarray, C: np.ndarray, slices: Slices
+) -> tuple[np.ndarray, dict]:
+    """The batched forward over rows sorted by expert (see ``_route``): the
+    velocity predictions and the cache ``_backward`` reads."""
+    cfg = state.config
+    p = state.backbone
+    stack = state.adapters
+    tau = time_features(T, cfg.time_embed_dim)
+    h = X @ p["w_in"].T + tau @ p["w_time"].T + C @ p["w_cond"].T + p["b_in"]
+    cache = {"X": X, "tau": tau, "C": C, "h": [h], "blocks": [], "slices": slices}
+    for l in range(cfg.num_blocks):
+        a = h @ p[f"block{l}.v"].T + p[f"block{l}.c"]
+        g, cdf = _gelu(a)
+        f = g @ p[f"block{l}.u"].T + p[f"block{l}.e"]
+        entry = {"a": a, "g": g, "cdf": cdf}
+        if stack is not None and l in stack.placement:
+            j = stack.placement.index(l)
+            act, _ = _ACTIVATIONS[stack.nonlinearity]
+            y = _segment_matmul(h, stack.w1[:, j].transpose(0, 2, 1), slices)
+            z, saved = act(y)
+            entry.update(y=y, z=z, saved=saved)
+            h = h + f + _segment_matmul(z, stack.w2[:, j].transpose(0, 2, 1), slices)
+        else:
+            h = h + f
+        cache["blocks"].append(entry)
+        cache["h"].append(h)
+    return h @ p["w_out"].T + p["b_out"], cache
+
+
+def _backward(
     state: ModelState,
     cache: dict,
     d_out: np.ndarray,
@@ -313,9 +335,7 @@ def _backward_group(
     """
     cfg = state.config
     p = state.backbone
-    expert_id = cache["expert_id"]
-    if expert_id is not None:
-        _, act_grad = _ACTIVATIONS[state.adapters.nonlinearity]
+    stack, slices = state.adapters, cache["slices"]
 
     h_last = cache["h"][-1]
     if backbone_grads is not None:
@@ -327,11 +347,10 @@ def _backward_group(
     for l in reversed(range(cfg.num_blocks)):
         entry = cache["blocks"][l]
         h_in = cache["h"][l]
-        a, g = entry["a"], entry["g"]
         dg = dh @ p[f"block{l}.u"]
-        da = dg * _gelu_grad(a)
+        da = dg * _gelu_grad(entry["a"], entry["cdf"])
         if backbone_grads is not None:
-            backbone_grads[f"block{l}.u"] += dh.T @ g
+            backbone_grads[f"block{l}.u"] += dh.T @ entry["g"]
             backbone_grads[f"block{l}.e"] += dh.sum(axis=0)
             backbone_grads[f"block{l}.v"] += da.T @ h_in
             backbone_grads[f"block{l}.c"] += da.sum(axis=0)
@@ -339,11 +358,12 @@ def _backward_group(
 
         dh_ad = 0.0
         if "y" in entry:
-            j = state.adapters.placement.index(l)
-            dz = dh @ state.adapters.w2[expert_id, j]
-            dy = dz * act_grad(entry["y"])
+            j = stack.placement.index(l)
+            _, act_grad = _ACTIVATIONS[stack.nonlinearity]
+            dz = _segment_matmul(dh, stack.w2[:, j], slices)
+            dy = dz * act_grad(entry["y"], entry["saved"])
             factors[j] = (dh, entry["z"], dy, h_in)
-            dh_ad = dy @ state.adapters.w1[expert_id, j]
+            dh_ad = _segment_matmul(dy, stack.w1[:, j], slices)
 
         dh = dh + dh_ff + dh_ad
 
@@ -363,7 +383,7 @@ def model_forward(
     expert_ids: np.ndarray | None = None,
 ) -> np.ndarray:
     """Velocity predictions for a batch; samples may belong to different
-    experts (the batch is processed in expert groups).
+    experts, in any order.
 
     X is (n, data_dim), T holds n times in [0, 1], C is (n, cond_dim) and
     ``expert_ids`` (required when adapters are attached) holds n expert ids;
@@ -381,18 +401,9 @@ def model_forward(
         raise ValueError(f"row counts differ: X {X.shape}, T {T.shape}, C {C.shape}")
     if not np.all((T >= 0.0) & (T <= 1.0)):
         raise ValueError(f"t must be in [0, 1], got values in [{T.min()}, {T.max()}]")
-    if state.adapters is None:
-        return _forward_group(state, X, T, C, None)
-    if expert_ids is None:
-        raise ValueError("expert_ids required when adapters are attached")
-    expert_ids = np.asarray(expert_ids)
-    if expert_ids.shape != (len(X),):
-        raise ValueError(f"expert_ids shape {expert_ids.shape}, expected ({len(X)},)")
+    order, slices = _route(state, expert_ids, len(X))
     out = np.empty((len(X), cfg.data_dim))
-    for k in np.unique(expert_ids):
-        idx = np.flatnonzero(expert_ids == k)
-        _check_expert(state, int(k))
-        out[idx] = _forward_group(state, X[idx], T[idx], C[idx], int(k))
+    out[order] = _forward(state, X[order], T[order], C[order], slices)[0]
     return out
 
 
@@ -430,37 +441,23 @@ def flow_matching_loss(
     x_t = (1.0 - t)[:, None] * x0 + t[:, None] * x1
     v_target = x1 - x0
 
-    stack = state.adapters
-    grad_w1 = None if stack is None else np.zeros_like(stack.w1)
-    grad_w2 = None if stack is None else np.zeros_like(stack.w2)
-    backbone_grads = None if state.frozen else {
-        name: np.zeros_like(arr) for name, arr in state.backbone.items()
-    }
-
-    v_pred = np.empty_like(v_target)
-    groups: list[tuple[np.ndarray, dict]] = []
-    if stack is None:
-        out, cache = _forward_group(state, x_t, t, cond, None, keep_cache=True)
-        v_pred[:] = out
-        groups.append((np.arange(n), cache))
-    else:
-        for k in np.unique(experts):
-            idx = np.flatnonzero(experts == k)
-            _check_expert(state, int(k))
-            out, cache = _forward_group(state, x_t[idx], t[idx], cond[idx], int(k), keep_cache=True)
-            v_pred[idx] = out
-            groups.append((idx, cache))
-
-    resid = v_pred - v_target
+    order, slices = _route(state, experts, n)
+    v_pred, cache = _forward(state, x_t[order], t[order], cond[order], slices)
+    resid = v_pred - v_target[order]
     loss = float((resid * resid).mean())
     d_pred = 2.0 * resid / resid.size
 
-    for idx, cache in groups:
-        _, factors = _backward_group(state, cache, d_pred[idx], backbone_grads)
-        for j, (dh, z, dy, h_in) in factors.items():
-            grad_w2[cache["expert_id"], j] += dh.T @ z
-            grad_w1[cache["expert_id"], j] += dy.T @ h_in
-
+    backbone_grads = None if state.frozen else {
+        name: np.zeros_like(arr) for name, arr in state.backbone.items()
+    }
+    _, factors = _backward(state, cache, d_pred, backbone_grads)
+    stack = state.adapters
+    grad_w1 = None if stack is None else np.zeros_like(stack.w1)
+    grad_w2 = None if stack is None else np.zeros_like(stack.w2)
+    for j, (dh, z, dy, h_in) in factors.items():
+        for k, rows in slices:
+            grad_w2[k, j] += dh[rows].T @ z[rows]
+            grad_w1[k, j] += dy[rows].T @ h_in[rows]
     return loss, LossGradients(w1=grad_w1, w2=grad_w2, backbone=backbone_grads)
 
 
@@ -489,16 +486,13 @@ def _euler_integrate(
 
 
 def _velocity_fn(
-    state: ModelState, cond: np.ndarray, expert_id: int | None, guidance_scale: float
+    state: ModelState, cond: np.ndarray, slices: Slices, guidance_scale: float
 ) -> Callable[[np.ndarray, float], np.ndarray]:
     null = np.zeros_like(cond)
 
     def v(x, t, c):
         n = len(x)
-        return model_forward(
-            state, x, np.full(n, t), np.tile(c, (n, 1)),
-            None if expert_id is None else np.full(n, expert_id),
-        )
+        return _forward(state, x, np.full(n, t), np.tile(c, (n, 1)), slices)[0]
 
     # scales 0 and 1 must collapse exactly, not just up to rounding
     if guidance_scale == 1.0:
@@ -527,10 +521,13 @@ def sample_batch(
         raise ValueError("steps must be >= 1")
     if guidance_scale < 0:
         raise ValueError("guidance_scale must be >= 0")
-    _check_expert(state, expert_id)
     cond = np.asarray(cond, dtype=np.float64)
+    if cond.shape != (state.config.cond_dim,):
+        raise ValueError(f"cond shape {cond.shape}, expected ({state.config.cond_dim},)")
+    # every row goes to one expert: a single slice, already in order
+    _, slices = _route(state, None if expert_id is None else np.full(count, expert_id), count)
     x0 = rng_for(seed, "sample-noise").standard_normal((count, state.config.data_dim))
-    return _euler_integrate(x0, steps, _velocity_fn(state, cond, expert_id, guidance_scale))
+    return _euler_integrate(x0, steps, _velocity_fn(state, cond, slices, guidance_scale))
 
 
 def per_sample_probe_gradients(
@@ -553,16 +550,15 @@ def per_sample_probe_gradients(
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
     cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
     n = len(x1)
+    slices = [(0, slice(0, n))]
     total = np.zeros((n, state.adapters.parameter_count()))
     for t_val, x0 in zip(t_draws, x0_draws):
         x_t = (1.0 - t_val) * x0[None, :] + t_val * x1
         v_target = x1 - x0[None, :]
-        out, cache = _forward_group(
-            state, x_t, np.full(n, t_val), cond, expert_id=0, keep_cache=True
-        )
+        out, cache = _forward(state, x_t, np.full(n, t_val), cond, slices)
         # per-sample loss: mean over dimensions only
         d_out = 2.0 * (out - v_target) / state.config.data_dim
-        _, factors = _backward_group(state, cache, d_out, None)
+        _, factors = _backward(state, cache, d_out, None)
         offset = 0
         for j in range(len(state.adapters.placement)):
             dh, z, dy, h_in = factors[j]

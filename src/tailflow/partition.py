@@ -59,6 +59,9 @@ METHOD_RANDOM = "random"
 METHOD_SINGLE = "single"
 _METHODS = (METHOD_LABEL_TIER, METHOD_EMBEDDING_KMEANS, METHOD_RANDOM, METHOD_SINGLE)
 
+# cap on the 2-means iterations of one bisection
+MAX_ITERS = 50
+
 
 @dataclass
 class Partition:
@@ -278,13 +281,13 @@ def _max_conflict_pair(unit: np.ndarray) -> tuple[int, int]:
     return best_i, best_j
 
 
-def _two_means_cosine(unit: np.ndarray, max_iters: int) -> np.ndarray:
+def _two_means_cosine(unit: np.ndarray) -> np.ndarray:
     """Cosine 2-means seeded at the maximal-conflict pair. Returns 0/1 labels."""
     n = unit.shape[0]
     i, j = _max_conflict_pair(unit)
     centroids = np.stack([unit[i], unit[j]])
     labels: np.ndarray | None = None
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         sims = unit @ centroids.T  # (n, 2)
         new_labels = (sims[:, 1] > sims[:, 0]).astype(np.int64)  # tie -> side 0
         if len(np.unique(new_labels)) < 2:
@@ -306,7 +309,6 @@ def _two_means_cosine(unit: np.ndarray, max_iters: int) -> np.ndarray:
 def bisecting_kmeans_partition(
     corpus: Corpus,
     num_experts: int,
-    max_iters: int = 50,
     return_history: bool = False,
 ) -> Partition | tuple[Partition, list[float]]:
     """Bisect the most-conflicting cluster with cosine 2-means until
@@ -338,7 +340,7 @@ def bisecting_kmeans_partition(
         target_idx = min(scored)[3]
         members = clusters[target_idx]
 
-        labels = _two_means_cosine(unit[members], max_iters)
+        labels = _two_means_cosine(unit[members])
         left, right = members[labels == 0], members[labels == 1]
         candidate = clusters[:target_idx] + clusters[target_idx + 1 :] + [left, right]
         new_obj = _cluster_conflicts(unit[c] for c in candidate).overall

@@ -58,6 +58,13 @@ __all__ = [
 
 LEDGER_VERSION = 1
 
+# conflict probes: the probe adapter's width and the (t, noise) draws each
+# gradient is averaged over; traces in training use fewer members and draws
+PROBE_DIM = 8
+PROBE_DRAWS = 8
+TRACE_PROBE_SIZE = 6
+TRACE_PROBE_DRAWS = 4
+
 
 @dataclass
 class TrainBatch:
@@ -163,17 +170,17 @@ def assemble_batch(
     return TrainBatch.gather(corpus, partition, idx, np.arange(len(idx)) >= base)
 
 
-def _probe_state(backbone_state: ModelState, seed: int, probe_dim: int = 8) -> ModelState:
+def _probe_state(backbone_state: ModelState, seed: int) -> ModelState:
     """Frozen backbone plus one shared probe adapter on the last block.
 
     Both projections are drawn non-zero so the loss actually depends on them.
     """
     cfg = backbone_state.config
     stack = init_adapters(
-        cfg, num_experts=1, adapter_dim=probe_dim,
+        cfg, num_experts=1, adapter_dim=PROBE_DIM,
         placement="last:1", nonlinearity="gelu", seed=derive_seed(seed, "probe-w1"),
     )
-    stack.w2 = rng_for(seed, "probe-w2").standard_normal(stack.w2.shape) / np.sqrt(probe_dim)
+    stack.w2 = rng_for(seed, "probe-w2").standard_normal(stack.w2.shape) / np.sqrt(PROBE_DIM)
     return ModelState(config=cfg, backbone=backbone_state.backbone, adapters=stack, frozen=True)
 
 
@@ -243,8 +250,6 @@ def train(
     quota: int = 3,
     cond_dropout: float = 0.1,
     trace_interval: int = 0,
-    trace_probe_size: int = 6,
-    probe_draws: int = 4,
 ) -> tuple[ModelState, UtilizationLedger, list[ConflictTrace]]:
     """SGD fine-tuning of the adapters over a frozen backbone.
 
@@ -265,7 +270,7 @@ def train(
     if trace_interval > 0:
         probe = _probe_state(state, derive_seed(seed, "trace-probe"))
         t_draws, x0_draws = _probe_draws(
-            state.config.data_dim, derive_seed(seed, "trace-draws"), probe_draws
+            state.config.data_dim, derive_seed(seed, "trace-draws"), TRACE_PROBE_DRAWS
         )
 
     rng = rng_for(seed, "batches")
@@ -279,7 +284,7 @@ def train(
         if trace_interval > 0 and (step + 1) % trace_interval == 0:
             traces.append(
                 _conflict_trace(
-                    probe, corpus, partition, step + 1, trace_probe_size,
+                    probe, corpus, partition, step + 1, TRACE_PROBE_SIZE,
                     t_draws, x0_draws, derive_seed(seed, "trace"),
                 )
             )
@@ -318,7 +323,6 @@ def measure_conflict_reduction(
     partitions: list[Partition],
     probe_size: int = 8,
     seed: int = 0,
-    probe_draws: int = 8,
 ) -> list[ConflictScore]:
     """Within-cluster gradient conflict for each partition, in the shared
     probe-adapter space. Returns one score per input partition (same order).
@@ -329,7 +333,7 @@ def measure_conflict_reduction(
     """
     probe = _probe_state(state, derive_seed(seed, "probe"))
     t_draws, x0_draws = _probe_draws(
-        state.config.data_dim, derive_seed(seed, "draws"), probe_draws
+        state.config.data_dim, derive_seed(seed, "draws"), PROBE_DRAWS
     )
     cache: dict[int, np.ndarray] = {}
     scores: list[ConflictScore] = []

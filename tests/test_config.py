@@ -121,3 +121,36 @@ def test_integer_keys_reject_non_integers(text, message):
 def test_float_keys_accept_integers():
     cfg = ExperimentConfig.from_flat(parse_config_text("train.lr = 1"))
     assert cfg.train_lr == 1.0 and isinstance(cfg.train_lr, float)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("train.lr = -1", "train.lr: must be > 0, got -1.0"),
+    ("train.pretrain_lr = 0", "train.pretrain_lr: must be > 0, got 0.0"),
+    ("partition.method = bogus", "partition.method: unknown method 'bogus'"),
+    ("adapter.nonlinearity = tanh", "adapter.nonlinearity: unknown 'tanh'"),
+    ("corpus.profile = nope", "corpus.profile: unknown profile 'nope'"),
+])
+def test_load_rejects_bad_values(text, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_flat(parse_config_text(text))
+
+
+CLASS_KEYS = {"class.0.mean": "0.0,0.0", "class.0.scale": "0.5", "class.0.count": "30"}
+
+
+@pytest.mark.parametrize("key, raw, message", [
+    ("class.0.count", "2.9", "class.0.count: expected an integer, got 2.9"),
+    ("class.0.scale", "true", "class.0.scale: expected a number, got True"),
+    ("class.0.mean", "0.0,north", "class.0.mean: expected a number, got 'north'"),
+    ("class.0.healthy", "1", "class.0.healthy: expected true/false, got 1"),
+    ("class.0.mean", None, "class.0.mean: required key missing"),
+    ("class.0.scale", None, "class.0.scale: required key missing"),
+    ("class.0.count", None, "class.0.count: required key missing"),
+])
+def test_explicit_class_keys_are_typed(key, raw, message):
+    keys = dict(CLASS_KEYS, **{key: raw})
+    text = "\n".join(f"{k} = {v}" for k, v in keys.items() if v is not None)
+    # an unknown profile name is fine when the classes are explicit
+    cfg = ExperimentConfig.from_flat(parse_config_text(text + "\ncorpus.profile = nope"))
+    with pytest.raises(ValueError, match=message):
+        class_specs_from_config(cfg)

@@ -335,17 +335,6 @@ class TestEvaluate:
             else:
                 assert report.per_class[c] == expected(*subsets)
 
-    def test_class_map_override(self):
-        rng = np.random.default_rng(18)
-        train = fs(rng.standard_normal((14, 2)), "train")
-        test = fs(rng.standard_normal((6, 2)), "test")
-        gen = fs(rng.standard_normal((8, 2)), "generated")
-        cmap = {("train", i): 0 for i in range(14)}
-        cmap.update({("test", i): 0 for i in range(6)})
-        cmap.update({("generated", i): 0 for i in range(8)})
-        report = evaluate(gen, train, test, k=3, class_map=cmap)
-        assert 0 in report.per_class
-
 
 def test_report_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(19)

@@ -125,10 +125,8 @@ class TestBackboneForward:
         w = rng.standard_normal(cfg.data_dim)
         t = 0.3
 
-        out, cache = model_mod._forward_group(
-            state, x[None, :], np.array([t]), c[None, :], None, keep_cache=True
-        )
-        dh, _ = model_mod._backward_group(state, cache, w[None, :], None)
+        out, cache = model_mod._forward(state, x[None, :], np.array([t]), c[None, :], [])
+        dh, _ = model_mod._backward(state, cache, w[None, :], None)
         dx = dh @ state.backbone["w_in"]
         h = 1e-5
         worst = 0.0
@@ -216,6 +214,17 @@ class TestBlockForward:
             outs.append(got)
         assert not np.array_equal(outs[0], outs[1])
 
+    def test_interleaved_experts_match_oracle(self):
+        # unsorted ids with expert 3 absent: each row comes back in its own
+        # place, through its own expert's adapters
+        state = small_state(num_experts=4, zero_w2=False, seed=5)
+        X, T, C = small_inputs(state, seed=5)
+        experts = np.array([2, 0, 1, 0, 2])
+        got = model_forward(state, X, T, C, experts)
+        for i, k in enumerate(experts):
+            want = reference(state, X[i : i + 1], T[i : i + 1], C[i : i + 1], k)
+            assert np.allclose(got[i : i + 1], want, rtol=1e-13, atol=1e-13)
+
     def test_expert_out_of_range_on_adapted_block(self):
         state = small_state()
         X, T, C = small_inputs(state, n=1)
@@ -278,17 +287,14 @@ class TestFlowMatchingLoss:
         v_star = x1_all - x0_all
         xt_all = (1.0 - t_all)[:, None] * x0_all + t_all[:, None] * x1_all
 
-        real_forward = model_mod._forward_group
+        real_forward = model_mod._forward
 
-        def perfect(state_, X, T, C, expert_id, keep_cache=False):
+        def perfect(state_, X, T, C, slices):
             rows = [int(np.flatnonzero(np.isclose(xt_all, x).all(axis=1))[0]) for x in X]
-            out = v_star[rows]
-            if keep_cache:
-                _, cache = real_forward(state_, X, T, C, expert_id, keep_cache=True)
-                return out, cache
-            return out
+            _, cache = real_forward(state_, X, T, C, slices)
+            return v_star[rows], cache
 
-        monkeypatch.setattr(model_mod, "_forward_group", perfect)
+        monkeypatch.setattr(model_mod, "_forward", perfect)
         loss, _ = flow_matching_loss(state, batch, seed=seed)
         assert loss == 0.0
 
@@ -306,6 +312,20 @@ class TestFlowMatchingLoss:
         xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
         v = model_forward(state, xt, t, batch.cond, batch.experts)
         assert loss == pytest.approx(float(((v - (x1 - x0)) ** 2).mean()), rel=1e-12)
+
+    def test_one_backbone_pass_for_three_experts(self, monkeypatch):
+        state = small_state(num_experts=3, zero_w2=False)
+        batch = small_batch(state, n=6)
+        mixed = dataclasses.replace(batch, experts=np.array([2, 0, 1, 1, 0, 2]))
+        calls, real = [], model_mod.time_features
+
+        def counted(t, dim):
+            calls.append(len(t))
+            return real(t, dim)
+
+        monkeypatch.setattr(model_mod, "time_features", counted)
+        flow_matching_loss(state, mixed, seed=4)
+        assert calls == [6]
 
     def test_gradient_isolation_for_absent_expert(self):
         state = small_state(num_experts=3, zero_w2=False)
