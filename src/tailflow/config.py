@@ -10,6 +10,8 @@ key order or formatting.
 from __future__ import annotations
 
 import hashlib
+import operator
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -204,8 +206,14 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        if self.sample_guidance_scale < 0:
-            raise ValueError("guidance scale must be >= 0")
+        for op, bound, keys in _BOUNDS:
+            for key in keys:
+                value = getattr(self, _KEYS[key])
+                if not _COMPARE[op](value, bound):  # nan fails every comparison
+                    raise ValueError(f"{key}: must be {op} {bound}, got {value!r}")
+        for key in self.explicit_classes:
+            if not _CLASS_KEY.fullmatch(key):
+                raise ValueError(f"{key}: expected class.<int >= 0>.<mean|scale|count|healthy>")
         if self.train_quota > self.train_batch_size:
             raise ValueError("train.quota exceeds train.batch_size")
         if self.partition_method not in _METHODS:
@@ -214,10 +222,6 @@ class ExperimentConfig:
             raise ValueError(f"adapter.nonlinearity: unknown {self.adapter_nonlinearity!r}")
         if not self.explicit_classes and self.corpus_profile not in _PROFILES:
             raise ValueError(f"corpus.profile: unknown profile {self.corpus_profile!r}")
-        for key, lr in [("train.lr", self.train_lr),
-                        ("train.pretrain_lr", self.train_pretrain_lr)]:
-            if not lr > 0:  # also rejects nan
-                raise ValueError(f"{key}: must be > 0, got {lr!r}")
 
 
 # dotted config key -> field name: the field name with its first "_" as "."
@@ -226,6 +230,22 @@ _KEYS = {
     for f in fields(ExperimentConfig)
     if f.name != "explicit_classes"
 }
+
+# the bounds of the numeric keys: (comparison, bound, the keys it applies to)
+_BOUNDS = (
+    (">=", 1, ("corpus.size", "corpus.test_size", "corpus.dimension", "corpus.embedding_dim",
+               "partition.experts", "backbone.hidden_dim", "backbone.blocks",
+               "backbone.time_embed_dim", "adapter.dim", "train.batch_size", "sample.steps",
+               "sample.per_class", "metrics.k")),
+    (">=", 0, ("corpus.noise_scale", "train.pretrain_steps", "train.steps", "train.quota",
+               "train.trace_interval", "train.cond_dropout", "sample.guidance_scale")),
+    ("<=", 1, ("train.cond_dropout",)),
+    (">", 0, ("train.lr", "train.pretrain_lr")),
+)
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+
+# an explicit class key: class.<id>.<attribute>, with a canonical decimal id
+_CLASS_KEY = re.compile(r"class\.(0|[1-9][0-9]*)\.(mean|scale|count|healthy)")
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:

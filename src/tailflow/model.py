@@ -563,8 +563,9 @@ def per_sample_probe_gradients(
         for j in range(len(state.adapters.placement)):
             dh, z, dy, h_in = factors[j]
             for grad in (np.einsum("ni,nj->nij", dy, h_in), np.einsum("ni,nj->nij", dh, z)):
-                total[:, offset : offset + grad[0].size] += grad.reshape(n, -1)
-                offset += grad[0].size
+                size = grad.shape[1] * grad.shape[2]  # grad[0] is absent when n = 0
+                total[:, offset : offset + size] += grad.reshape(n, size)
+                offset += size
     return total / len(t_draws)
 
 

@@ -2,8 +2,8 @@
 
 A partition is a static total map from sample ids to expert ids. The quality
 of a partition is the expected pairwise conflict ``1 - cos(u, v)`` between
-within-cluster pairs, measured either on embedding surrogates or on supplied
-per-sample gradient vectors. Partitioners provided:
+within-cluster pairs, measured on embedding surrogates or on a supplied
+row-aligned array, such as per-sample gradients. Partitioners provided:
 
 * label tiers (head / medium / tail frequency bands, plus a dedicated
   expert for the healthy class when K = 4),
@@ -171,29 +171,18 @@ def _cluster_conflicts(blocks: Iterable[np.ndarray]) -> ConflictScore:
 
 
 def partition_conflict(
-    corpus: Corpus,
-    partition: Partition,
-    features: str = "embedding",
-    gradients: dict[int, np.ndarray] | None = None,
+    corpus: Corpus, partition: Partition, vectors: np.ndarray | None = None
 ) -> ConflictScore:
     """Exact mean conflict over all unordered within-cluster pairs.
 
-    ``features`` selects the vector source: "embedding" uses the corpus
-    embedding surrogates, "gradients" uses the supplied per-sample gradient
-    map. Clusters of size < 2 contribute zero pairs and a value of 0.
+    ``vectors`` holds one row per corpus sample, such as per-sample
+    gradients; it defaults to the corpus embedding surrogates. Clusters of
+    size < 2 contribute zero pairs and a value of 0.
     """
-    if features == "embedding":
-        vectors = corpus.embedding_matrix()
-    elif features == "gradients":
-        if gradients is None:
-            raise ValueError("gradients mode requires a gradient map")
-        missing = [i for i in range(len(corpus)) if i not in gradients]
-        if missing:
-            raise ValueError(f"missing gradients for samples {missing[:5]}...")
-        vectors = np.stack([gradients[i] for i in range(len(corpus))])
-    else:
-        raise ValueError(f"unknown feature source {features!r}")
-    unit = _normalized_rows(np.asarray(vectors, dtype=np.float64), features)
+    vectors = corpus.embedding_matrix() if vectors is None else np.asarray(vectors, float)
+    if len(vectors) != len(corpus):
+        raise ValueError(f"{len(vectors)} vector rows for a corpus of {len(corpus)} samples")
+    unit = _normalized_rows(vectors, "input")
     return _cluster_conflicts(unit[partition.members(k)] for k in range(partition.num_experts))
 
 

@@ -8,10 +8,12 @@ cumulative utilization (ties to the lowest expert id); an empty cluster's
 turn is skipped with a warning. The guarantee that each batch covers all
 experts is structural whenever quota >= K - 1 (the default 3 with K = 4).
 
-Gradient-conflict instrumentation measures per-sample loss gradients in the
-parameter space of one shared probe adapter, so gradients from different
-samples are comparable; per-expert parameter spaces would be disjoint and
-the comparison vacuous. All samples share the same (t, noise) probe draws.
+Conflict probes measure per-sample loss gradients in the parameter space of
+one shared probe adapter at shared (t, noise) draws, so the gradients of
+different samples are comparable; per-expert spaces would be disjoint.
+Training traces and ``measure_conflict_reduction`` select each cluster's
+probed members by one rule and take their gradients in one call per
+cluster, with no cache.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import copy
 import csv
 import io
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -170,8 +173,11 @@ def assemble_batch(
     return TrainBatch.gather(corpus, partition, idx, np.arange(len(idx)) >= base)
 
 
-def _probe_state(backbone_state: ModelState, seed: int) -> ModelState:
-    """Frozen backbone plus one shared probe adapter on the last block.
+def _probe(
+    backbone_state: ModelState, seed: int, draws_seed: int, num_draws: int
+) -> tuple[ModelState, np.ndarray, np.ndarray]:
+    """Frozen backbone plus one shared probe adapter on the last block, and
+    the (t, noise) draws that every probed sample shares.
 
     Both projections are drawn non-zero so the loss actually depends on them.
     """
@@ -181,61 +187,53 @@ def _probe_state(backbone_state: ModelState, seed: int) -> ModelState:
         placement="last:1", nonlinearity="gelu", seed=derive_seed(seed, "probe-w1"),
     )
     stack.w2 = rng_for(seed, "probe-w2").standard_normal(stack.w2.shape) / np.sqrt(PROBE_DIM)
-    return ModelState(config=cfg, backbone=backbone_state.backbone, adapters=stack, frozen=True)
-
-
-def _probe_draws(cfg_data_dim: int, seed: int, num_draws: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = rng_for(seed, "probe-draws")
+    probe = ModelState(config=cfg, backbone=backbone_state.backbone, adapters=stack, frozen=True)
+    rng = rng_for(draws_seed, "probe-draws")
     t = rng.uniform(0.05, 0.95, size=num_draws)
-    x0 = rng.standard_normal((num_draws, cfg_data_dim))
-    return t, x0
+    return probe, t, rng.standard_normal((num_draws, cfg.data_dim))
 
 
-def _gradient_rows(
-    probe: ModelState, corpus: Corpus, sample_ids: np.ndarray,
-    t_draws: np.ndarray, x0_draws: np.ndarray,
-    cache: dict[int, np.ndarray] | None = None,
-) -> np.ndarray:
-    missing = [int(s) for s in sample_ids if cache is None or s not in cache]
-    if missing:
+def _probe_blocks(
+    probe: ModelState, corpus: Corpus, partition: Partition, probe_size: int,
+    t_draws: np.ndarray, x0_draws: np.ndarray, seed: int, *labels,
+) -> list[np.ndarray]:
+    """Unit probe-gradient rows of each cluster's probed members, by expert.
+
+    Cluster k probes up to ``probe_size`` members drawn without replacement
+    from ``rng_for(seed, *labels, k)``, in sorted order; a cluster with fewer
+    than two members probes them all. One gradient call per cluster.
+    """
+    if probe_size < 2:
+        raise ValueError(f"probe_size must be >= 2 to form a pair, got {probe_size}")
+    blocks = []
+    for k in range(partition.num_experts):
+        ids = partition.members(k)
+        if len(ids) >= 2:
+            take = min(probe_size, len(ids))
+            ids = np.sort(rng_for(seed, *labels, k).choice(ids, size=take, replace=False))
         rows = per_sample_probe_gradients(
-            probe, corpus.x[missing], corpus.embeddings[missing], t_draws, x0_draws
+            probe, corpus.x[ids], corpus.embeddings[ids], t_draws, x0_draws
         )
-        if cache is None:
-            return rows
-        for s, row in zip(missing, rows):
-            cache[s] = row
-    return np.stack([cache[int(s)] for s in sample_ids])
+        blocks.append(_normalized_rows(rows, "probe gradient"))
+    return blocks
 
 
 def _conflict_trace(
     probe: ModelState, corpus: Corpus, partition: Partition, step: int,
     probe_size: int, t_draws: np.ndarray, x0_draws: np.ndarray, seed: int,
 ) -> ConflictTrace:
-    chosen: list[np.ndarray] = []
-    for k in range(partition.num_experts):
-        members = partition.members(k)
-        if len(members) >= 2:
-            take = min(probe_size, len(members))
-            sel = rng_for(seed, "trace-members", step, k).choice(members, size=take, replace=False)
-            chosen.append(np.sort(sel))
-        else:
-            chosen.append(members)
-    all_ids = np.concatenate([c for c in chosen if len(c)]) if chosen else np.array([], int)
-    unit = _normalized_rows(
-        _gradient_rows(probe, corpus, all_ids, t_draws, x0_draws), "probe gradient"
+    blocks = _probe_blocks(
+        probe, corpus, partition, probe_size, t_draws, x0_draws, seed, "trace-members", step
     )
-    # all_ids lists the chosen members cluster by cluster
-    blocks = np.split(unit, np.cumsum([len(c) for c in chosen])[:-1])
-    per_cluster = [_cluster_conflict(b) for b in blocks]
+    within = _cluster_conflicts(blocks)
+    unit = np.concatenate(blocks)
     # cross-cluster pairs are all pairs minus within-cluster pairs
-    all_pairs = len(unit) * (len(unit) - 1) / 2
-    within = [len(b) * (len(b) - 1) / 2 for b in blocks]
+    all_pairs = len(unit) * (len(unit) - 1) // 2
     cross = 0.0
-    if all_pairs > sum(within):
-        cross_sum = all_pairs * _cluster_conflict(unit) - np.dot(within, per_cluster)
-        cross = float(np.clip(cross_sum / (all_pairs - sum(within)), 0.0, 2.0))
-    return ConflictTrace(step=step, per_cluster_conflict=per_cluster, cross_cluster_conflict=cross)
+    if all_pairs > within.pair_count:
+        cross_sum = all_pairs * _cluster_conflict(unit) - within.overall * within.pair_count
+        cross = float(np.clip(cross_sum / (all_pairs - within.pair_count), 0.0, 2.0))
+    return ConflictTrace(step, within.per_cluster, cross)
 
 
 def train(
@@ -265,20 +263,20 @@ def train(
     ledger = UtilizationLedger.empty(partition.num_experts)
     traces: list[ConflictTrace] = []
 
-    probe = None
-    t_draws = x0_draws = None
     if trace_interval > 0:
-        probe = _probe_state(state, derive_seed(seed, "trace-probe"))
-        t_draws, x0_draws = _probe_draws(
-            state.config.data_dim, derive_seed(seed, "trace-draws"), TRACE_PROBE_DRAWS
+        probe, t_draws, x0_draws = _probe(
+            state, derive_seed(seed, "trace-probe"), derive_seed(seed, "trace-draws"),
+            TRACE_PROBE_DRAWS,
         )
 
     rng = rng_for(seed, "batches")
     for step in range(steps):
         batch = assemble_batch(corpus, partition, batch_size, resample, quota, rng, ledger)
-        _, grads = flow_matching_loss(
+        loss, grads = flow_matching_loss(
             state, batch, seed=derive_seed(seed, "loss", step), cond_dropout=cond_dropout
         )
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"fine-tuning diverged: loss {loss!r} at step {step}")
         sgd_step(state, grads, lr)
         ledger.add(batch.experts)
         if trace_interval > 0 and (step + 1) % trace_interval == 0:
@@ -309,9 +307,11 @@ def pretrain_backbone(
     rng = rng_for(seed, "batches")
     for step in range(steps):
         batch = assemble_batch(corpus, part, batch_size, False, 0, rng, None)
-        _, grads = flow_matching_loss(
+        loss, grads = flow_matching_loss(
             work, batch, seed=derive_seed(seed, "loss", step), cond_dropout=cond_dropout
         )
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"pretraining diverged: loss {loss!r} at step {step}")
         sgd_step(work, grads, lr)
     work.frozen = True
     return work
@@ -327,31 +327,20 @@ def measure_conflict_reduction(
     """Within-cluster gradient conflict for each partition, in the shared
     probe-adapter space. Returns one score per input partition (same order).
 
-    Per cluster, up to ``probe_size`` members are drawn; gradients are cached
-    by sample id, so identical samples appearing under several partitions
-    contribute identical gradient rows and the scores are comparable.
+    Per cluster, up to ``probe_size`` (at least 2) members are probed. Every
+    partition shares the probe adapter and its (t, noise) draws, so the scores
+    are comparable, and a score depends only on its own partition, its
+    position in ``partitions`` and ``seed``.
     """
-    probe = _probe_state(state, derive_seed(seed, "probe"))
-    t_draws, x0_draws = _probe_draws(
-        state.config.data_dim, derive_seed(seed, "draws"), PROBE_DRAWS
+    probe, t_draws, x0_draws = _probe(
+        state, derive_seed(seed, "probe"), derive_seed(seed, "draws"), PROBE_DRAWS
     )
-    cache: dict[int, np.ndarray] = {}
-    scores: list[ConflictScore] = []
-    for pidx, part in enumerate(partitions):
-        blocks: list[np.ndarray] = []
-        for k in range(part.num_experts):
-            members = part.members(k)
-            if len(members) < 2:
-                blocks.append(members)  # fewer than two rows: value 0, no pairs
-                continue
-            take = min(probe_size, len(members))
-            sel = np.sort(
-                rng_for(seed, "select", pidx, k).choice(members, size=take, replace=False)
-            )
-            rows = _gradient_rows(probe, corpus, sel, t_draws, x0_draws, cache)
-            blocks.append(_normalized_rows(rows, "probe gradient"))
-        scores.append(_cluster_conflicts(blocks))
-    return scores
+    return [
+        _cluster_conflicts(
+            _probe_blocks(probe, corpus, part, probe_size, t_draws, x0_draws, seed, "select", pidx)
+        )
+        for pidx, part in enumerate(partitions)
+    ]
 
 
 def ledger_json(ledger: UtilizationLedger) -> str:

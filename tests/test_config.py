@@ -129,6 +129,17 @@ def test_float_keys_accept_integers():
     ("partition.method = bogus", "partition.method: unknown method 'bogus'"),
     ("adapter.nonlinearity = tanh", "adapter.nonlinearity: unknown 'tanh'"),
     ("corpus.profile = nope", "corpus.profile: unknown profile 'nope'"),
+    ("sample.steps = 0", "sample.steps: must be >= 1, got 0"),
+    ("metrics.k = 0", "metrics.k: must be >= 1, got 0"),
+    ("train.cond_dropout = 2", "train.cond_dropout: must be <= 1, got 2.0"),
+    ("train.cond_dropout = nan", "train.cond_dropout: must be >= 0, got nan"),
+    ("train.steps = -1", "train.steps: must be >= 0, got -1"),
+    ("partition.experts = 0", "partition.experts: must be >= 1, got 0"),
+    ("train.lr = nan", "train.lr: must be > 0, got nan"),
+    ("sample.guidance_scale = -1", "sample.guidance_scale: must be >= 0, got -1.0"),
+    ("class.0.colour = red", "class.0.colour: expected class.<int >= 0>"),
+    ("class.x.count = 3", "class.x.count: expected class.<int >= 0>"),
+    ("class.0 = 1", "class.0: expected class.<int >= 0>"),
 ])
 def test_load_rejects_bad_values(text, message):
     with pytest.raises(ValueError, match=message):

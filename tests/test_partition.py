@@ -124,14 +124,12 @@ class TestPartitionConflict:
 
     def test_supplied_gradients_mode(self):
         corpus = make_corpus(blob_specs(2, 3), seed=1)
-        grads = {i: np.array([1.0, float(c)]) for i, c in enumerate(corpus.class_ids())}
+        rows = np.stack([np.array([1.0, float(c)]) for c in corpus.class_ids()])
         part = single_partition(corpus)
-        score = partition_conflict(corpus, part, features="gradients", gradients=grads)
-        rows = np.stack([grads[i] for i in range(len(corpus))])
+        score = partition_conflict(corpus, part, vectors=rows)
         assert score.overall == pytest.approx(mean_pairwise_conflict_brute(rows), rel=1e-10)
-        grads.pop(0)
-        with pytest.raises(ValueError):
-            partition_conflict(corpus, part, features="gradients", gradients=grads)
+        with pytest.raises(ValueError, match=f"{len(corpus) - 1} vector rows .* {len(corpus)}"):
+            partition_conflict(corpus, part, vectors=rows[1:])
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -143,8 +141,7 @@ class TestPartitionConflict:
         assignments = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
         corpus = make_corpus([ClassSpec(class_id=0, mean=(0.0, 0.0), scale=1.0, count=n)])
         part = Partition(assignments=assignments, num_experts=k, method="random", composition=[])
-        grads = dict(enumerate(rows))
-        score = partition_conflict(corpus, part, features="gradients", gradients=grads)
+        score = partition_conflict(corpus, part, vectors=rows)
         assert score.overall == pytest.approx(
             partition_objective_brute(rows, assignments, k), abs=1e-12
         )

@@ -243,8 +243,9 @@ class TestCli:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_metrics_fail_the_evaluate_stage(self, tmp_path, capsys):
-        # pretraining at lr 5 diverges; the garbage samples' Frechet distance is NaN
-        diverged = ExperimentConfig(**{**SMOKE.__dict__, "train_pretrain_lr": 5.0,
+        # training stays finite, but a guidance scale of 1e300 overflows the
+        # sampler; the garbage samples' Frechet distance is NaN
+        diverged = ExperimentConfig(**{**SMOKE.__dict__, "sample_guidance_scale": 1e300,
                                        "explicit_classes": {}})
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(diverged.to_text())
@@ -257,6 +258,38 @@ class TestCli:
             run_stage(diverged, out, "evaluate")
         assert info.value.stage == "evaluate"
         assert not (out / "metrics.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("key, message", [
+        ("train_pretrain_lr", "pretraining diverged: loss inf at step 2"),
+        ("train_lr", "fine-tuning diverged: loss nan at step 3"),
+    ])
+    def test_diverging_training_fails_the_train_stage(self, tmp_path, capsys, key, message):
+        diverged = ExperimentConfig(**{**SMOKE.__dict__, key: 1e8, "explicit_classes": {}})
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(diverged.to_text())
+        out = tmp_path / "work"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'train' failed" in err and message in err
+        assert not (out / "checkpoint.npz").exists()
+        with pytest.raises(StageError, match=message) as info:
+            run_stage(diverged, out, "train")
+        assert info.value.stage == "train"
+        assert not (out / "checkpoint.npz").exists()
+
+    @pytest.mark.parametrize("size", ["1", "0"])
+    def test_analyze_conflicts_rejects_a_probe_without_pairs(self, tmp_path, capsys, size):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMOKE_TEXT)
+        out = tmp_path / "work"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        argv = ["analyze-conflicts", "--config", str(cfg_path), "--out", str(out),
+                "--probe-size", size]
+        assert main(argv) == 2
+        assert f"error: probe_size must be >= 2 to form a pair, got {size}" in capsys.readouterr().err
+        assert not (out / "conflict_comparison.csv").exists()
 
     def test_writes_stay_inside_out_dir(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "exp.cfg"

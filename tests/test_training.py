@@ -25,10 +25,11 @@ from tailflow.training import (
 BB = BackboneConfig(data_dim=2, hidden_dim=16, num_blocks=2, cond_dim=16, time_embed_dim=8)
 
 
-def make_state(corpus, num_experts=4, adapter_dim=8, pretrain=60, seed=0):
-    state = ModelState(config=BB, backbone=init_backbone(BB, seed), adapters=None, frozen=False)
+def make_state(corpus, num_experts=4, adapter_dim=8, pretrain=60, seed=0, config=BB):
+    state = ModelState(config=config, backbone=init_backbone(config, seed), adapters=None,
+                       frozen=False)
     state = pretrain_backbone(state, corpus, pretrain, 8, 0.01, seed)
-    state.adapters = init_adapters(BB, num_experts, adapter_dim, "all", "gelu", seed)
+    state.adapters = init_adapters(config, num_experts, adapter_dim, "all", "gelu", seed)
     return state
 
 
@@ -223,16 +224,19 @@ class TestConflictMeasurement:
         assignments[0] = 3
         part = label_tier_partition(corpus, 4)
         part.assignments = assignments
-        drawn = {}
+        row_id = {row.tobytes(): i for i, row in enumerate(corpus.x)}
+        assert len(row_id) == len(corpus)  # each data row names its sample
+        drawn = {"ids": [], "rows": []}
 
-        def fake_rows(probe, corpus, ids, t_draws, x0_draws, cache=None):
-            drawn["ids"] = ids
-            drawn["rows"] = rng_for(0, "fake-rows").standard_normal((len(ids), 5))
-            return drawn["rows"]
+        def fake_rows(probe, x1, cond, t_draws, x0_draws):
+            rows = rng_for(0, "fake-rows", len(drawn["rows"])).standard_normal((len(x1), 5))
+            drawn["ids"].extend(row_id[row.tobytes()] for row in x1)
+            drawn["rows"].append(rows)
+            return rows
 
-        monkeypatch.setattr(training, "_gradient_rows", fake_rows)
+        monkeypatch.setattr(training, "per_sample_probe_gradients", fake_rows)
         trace = training._conflict_trace(None, corpus, part, 1, 6, None, None, seed=0)
-        ids, rows = drawn["ids"], drawn["rows"]
+        ids, rows = np.array(drawn["ids"]), np.concatenate(drawn["rows"])
         labels = assignments[ids]
         for k in range(3):
             assert trace.per_cluster_conflict[k] == pytest.approx(
@@ -246,13 +250,34 @@ class TestConflictMeasurement:
         assert trace.cross_cluster_conflict == pytest.approx(np.mean(cross), abs=1e-12)
 
     def test_zero_probe_gradient_is_degenerate(self, corpus, partition, monkeypatch):
-        def zero_rows(probe, corpus, ids, t_draws, x0_draws, cache=None):
-            return np.zeros((len(ids), 5))
+        def zero_rows(probe, x1, cond, t_draws, x0_draws):
+            return np.zeros((len(x1), 5))
 
         state = make_state(corpus, pretrain=1)
-        monkeypatch.setattr(training, "_gradient_rows", zero_rows)
+        monkeypatch.setattr(training, "per_sample_probe_gradients", zero_rows)
         with pytest.raises(DegenerateInputError, match="probe gradient"):
             measure_conflict_reduction(state, corpus, [partition], probe_size=4, seed=0)
+
+    def test_a_score_does_not_depend_on_the_partitions_before_it(self, corpus, partition):
+        # the default config's backbone width, at which a gradient row's last
+        # bits depend on the other rows of its batch
+        wide = BackboneConfig(data_dim=2, hidden_dim=32, num_blocks=2, cond_dim=16,
+                              time_embed_dim=8)
+        state = make_state(corpus, pretrain=40, config=wide)
+        single = single_partition(corpus)
+        for seed in range(5):
+            rnd = random_partition(corpus, 4, seed=seed)
+            after_label = measure_conflict_reduction(state, corpus, [partition, rnd],
+                                                     probe_size=64, seed=seed)[1]
+            after_single = measure_conflict_reduction(state, corpus, [single, rnd],
+                                                      probe_size=64, seed=seed)[1]
+            assert after_label == after_single  # per-cluster values and overall, bit for bit
+
+    @pytest.mark.parametrize("probe_size", [1, 0, -3])
+    def test_a_probe_without_pairs_is_rejected(self, corpus, partition, probe_size):
+        state = make_state(corpus, pretrain=1)
+        with pytest.raises(ValueError, match=f"probe_size must be >= 2.*got {probe_size}"):
+            measure_conflict_reduction(state, corpus, [partition], probe_size=probe_size)
 
     def test_scores_are_deterministic(self, corpus, partition):
         state = make_state(corpus)
