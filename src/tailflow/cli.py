@@ -58,6 +58,8 @@ def _cmd_analyze_conflicts(args) -> int:
     from .seeding import derive_seed
     from .training import measure_conflict_reduction
 
+    if args.probe_size < 2:  # before the pretraining it would waste
+        raise ValueError(f"probe_size must be >= 2 to form a pair, got {args.probe_size}")
     cfg = load_experiment_config(args.config)
     root = cfg.root_seed if args.seed is None else args.seed
     out = Path(args.out)

@@ -12,10 +12,10 @@ from __future__ import annotations
 import hashlib
 import operator
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .datagen import ClassSpec, chest_longtail_specs, tail8_specs
+from .datagen import ClassSpec, _scaled_counts, chest_longtail_specs, tail8_specs
 from .model import _ACTIVATIONS
 from .partition import _METHODS
 
@@ -253,8 +253,10 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
 
 def class_specs_from_config(cfg: ExperimentConfig, total: int | None = None) -> list[ClassSpec]:
-    """Class specs from a named profile or explicit ``class.<id>.*`` keys."""
-    total = cfg.corpus_size if total is None else total
+    """Class specs from a named profile or explicit ``class.<id>.*`` keys.
+    Without ``total`` they are the train split's: ``corpus.size`` samples or
+    the explicit counts. With it, the profile or the explicit counts are
+    scaled to ``total`` samples, as for the test split."""
     if cfg.explicit_classes:
         by_id: dict[int, dict[str, object]] = {}
         for key, value in cfg.explicit_classes.items():
@@ -283,7 +285,11 @@ def class_specs_from_config(cfg: ExperimentConfig, total: int | None = None) -> 
                     is_healthy=healthy,
                 )
             )
-        return specs
+        if total is None:
+            return specs
+        counts = _scaled_counts([spec.count for spec in specs], total)
+        return [replace(spec, count=n) for spec, n in zip(specs, counts)]
     if cfg.corpus_profile not in _PROFILES:
         raise ValueError(f"corpus.profile: unknown profile {cfg.corpus_profile!r}")
-    return _PROFILES[cfg.corpus_profile](total, cfg.corpus_dimension)
+    size = cfg.corpus_size if total is None else total
+    return _PROFILES[cfg.corpus_profile](size, cfg.corpus_dimension)

@@ -11,9 +11,9 @@ A corpus is three row-aligned arrays: ``x`` (n, dimension) data rows,
 sample id is the row index, so ids are dense from 0 by construction;
 ``generate_corpus`` groups the rows by class in spec order.
 
-Corpus files are line-delimited plain text (one sample per line: id, class
-id, data row, embedding row) with a versioned ``#``-header; floats are
-written with ``repr`` so round trips are lossless.
+``save_corpus`` and ``load_corpus`` store a corpus in the record layout of
+``records.py``: the corpus facts and one ``# class`` line per spec as the
+header, and per sample its class id, data row and embedding row.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .records import read_records, write_records
 from .seeding import rng_for
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
 ]
 
 CORPUS_FORMAT = "tailflow-corpus"
-CORPUS_VERSION = 1
 
 DEFAULT_EMBEDDING_DIM = 16
 DEFAULT_NOISE_SCALE = 0.05
@@ -306,86 +306,55 @@ def blob_specs(
     ]
 
 
-def _fmt_floats(values: np.ndarray) -> str:
-    return " ".join(repr(float(v)) for v in values)
-
-
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    path = Path(path)
-    lines = [f"# {CORPUS_FORMAT} {CORPUS_VERSION}"]
-    lines.append(f"# dimension {corpus.dimension}")
-    lines.append(f"# embedding_dim {corpus.embedding_dim}")
-    lines.append(f"# noise_scale {corpus.noise_scale!r}")
-    lines.append(f"# seed {corpus.seed}")
+    header = [
+        ("dimension", corpus.dimension),
+        ("embedding_dim", corpus.embedding_dim),
+        ("noise_scale", repr(corpus.noise_scale)),
+        ("seed", corpus.seed),
+    ]
     for c in corpus.classes:
         mean = ",".join(repr(m) for m in c.mean)
-        lines.append(
-            f"# class {c.class_id} count={c.count} scale={c.scale!r} "
-            f"healthy={int(c.is_healthy)} mean={mean}"
-        )
-    for sid, (x, label, embedding) in enumerate(zip(corpus.x, corpus.labels, corpus.embeddings)):
-        lines.append(f"{sid} {label} {_fmt_floats(x)} {_fmt_floats(embedding)}")
-    path.write_text("\n".join(lines) + "\n")
+        spec = f"{c.class_id} count={c.count} scale={c.scale!r} healthy={int(c.is_healthy)}"
+        header.append(("class", f"{spec} mean={mean}"))
+    rows = np.hstack([corpus.x, corpus.embeddings])
+    write_records(path, CORPUS_FORMAT, header, corpus.labels, rows)
+
+
+def _class_spec(value: str) -> ClassSpec:
+    """A ``# class`` header value: ``<id> count=.. scale=.. healthy=.. mean=..``."""
+    cid, *fields = value.split()
+    kv = dict(f.split("=", 1) for f in fields)
+    for key in ("count", "scale", "healthy", "mean"):
+        if key not in kv:
+            raise ValueError(f"class {cid}: missing {key}=")
+    return ClassSpec(
+        class_id=int(cid),
+        mean=tuple(float(v) for v in kv["mean"].split(",")),
+        scale=float(kv["scale"]),
+        count=int(kv["count"]),
+        is_healthy=bool(int(kv["healthy"])),
+    )
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].startswith(f"# {CORPUS_FORMAT} "):
-        raise ValueError(f"{path}: not a {CORPUS_FORMAT} file")
-    version = int(lines[0].split()[-1])
-    if version != CORPUS_VERSION:
-        raise ValueError(f"{path}: unsupported corpus version {version}")
-
-    meta: dict[str, str] = {}
-    classes: list[ClassSpec] = []
-    ids: list[int] = []
-    labels: list[int] = []
-    xs: list[list[float]] = []
-    embeddings: list[list[float]] = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        if line.startswith("# class "):
-            parts = line.split()
-            cid = int(parts[2])
-            kv = dict(p.split("=", 1) for p in parts[3:])
-            mean = tuple(float(v) for v in kv["mean"].split(","))
-            classes.append(
-                ClassSpec(
-                    class_id=cid,
-                    mean=mean,
-                    scale=float(kv["scale"]),
-                    count=int(kv["count"]),
-                    is_healthy=bool(int(kv["healthy"])),
-                )
-            )
-        elif line.startswith("#"):
-            parts = line[1:].split(None, 1)
-            if len(parts) == 2:
-                meta[parts[0]] = parts[1].strip()
-        else:
-            fields = line.split()
-            dim = int(meta["dimension"])
-            edim = int(meta["embedding_dim"])
-            if len(fields) != 2 + dim + edim:
-                raise ValueError(f"{path}: bad record width {len(fields)}")
-            ids.append(int(fields[0]))
-            labels.append(int(fields[1]))
-            xs.append([float(v) for v in fields[2 : 2 + dim]])
-            embeddings.append([float(v) for v in fields[2 + dim :]])
-    if ids != list(range(len(ids))):
-        raise ValueError(f"{path}: sample ids must be dense from 0 in order")
-    dim, edim = int(meta["dimension"]), int(meta["embedding_dim"])
-    corpus = Corpus(
-        x=np.array(xs, dtype=np.float64).reshape(-1, dim),
-        embeddings=np.array(embeddings, dtype=np.float64).reshape(-1, edim),
-        labels=np.array(labels, dtype=np.int64),
-        classes=classes,
-        dimension=dim,
-        seed=int(meta["seed"]),
-        embedding_dim=edim,
-        noise_scale=float(meta["noise_scale"]),
+    header, labels, rows = read_records(
+        path, CORPUS_FORMAT, ("dimension", "embedding_dim"), ("noise_scale", "seed")
     )
-    corpus.validate()
+    meta = dict(header)
+    dim = int(meta["dimension"])
+    try:
+        corpus = Corpus(
+            x=rows[:, :dim].copy(),
+            embeddings=rows[:, dim:].copy(),
+            labels=labels,
+            classes=[_class_spec(value) for key, value in header if key == "class"],
+            dimension=dim,
+            seed=int(meta["seed"]),
+            embedding_dim=int(meta["embedding_dim"]),
+            noise_scale=float(meta["noise_scale"]),
+        )
+        corpus.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return corpus

@@ -17,7 +17,8 @@ blocks of columns, gives each generated row's 1-NN in train, since
 ``(a - b)**2`` equals ``(b - a)**2`` exactly) and generated x test.
 Each per-class row reads ``np.ix_`` slices of the same three matrices. The
 public metric functions and ``evaluate`` share one implementation of each
-metric, written on distance matrices.
+metric, written on distance matrices. Samples files use the record layout
+of ``records.py``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientDataError, UndefinedMetricError
+from .records import read_records, write_records
 
 __all__ = [
     "FeatureSet",
@@ -50,7 +52,6 @@ __all__ = [
 ]
 
 SAMPLES_FORMAT = "tailflow-samples"
-SAMPLES_VERSION = 1
 METRICS_VERSION = 1
 
 DEFAULT_K = 5
@@ -380,42 +381,12 @@ def evaluate(
 
 
 def save_samples(path: str | Path, vectors: np.ndarray, class_ids: np.ndarray) -> None:
-    """Write generated vectors as line-delimited records (id class x...)."""
-    path = Path(path)
+    """Write generated vectors as records: class id, then the vector."""
     vectors = np.asarray(vectors, dtype=np.float64)
-    lines = [f"# {SAMPLES_FORMAT} {SAMPLES_VERSION}", f"# dimension {vectors.shape[1]}"]
-    for i, (v, c) in enumerate(zip(vectors, class_ids)):
-        lines.append(f"{i} {int(c)} " + " ".join(repr(float(x)) for x in v))
-    path.write_text("\n".join(lines) + "\n")
+    write_records(path, SAMPLES_FORMAT, [("dimension", vectors.shape[1])], class_ids, vectors)
 
 
 def load_features(path: str | Path, tag: str) -> FeatureSet:
-    """Read a corpus or samples file as a feature set (data vectors as
-    features, with the class column attached)."""
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    head = lines[0]
-    if head.startswith(f"# {SAMPLES_FORMAT} "):
-        dim = None
-        for line in lines[1:]:
-            if line.startswith("# dimension"):
-                dim = int(line.split()[-1])
-                break
-        if dim is None:
-            raise ValueError(f"{path}: missing dimension header")
-        records = [line.split() for line in lines[1:] if line.strip() and not line.startswith("#")]
-        ids = np.array([int(r[0]) for r in records])
-        classes = np.array([int(r[1]) for r in records])
-        vectors = np.array([[float(v) for v in r[2 : 2 + dim]] for r in records])
-        return FeatureSet(vectors=vectors, ids=ids, tag=tag, classes=classes)
-    from .datagen import load_corpus
-
-    corpus = load_corpus(path)
-    return FeatureSet(
-        vectors=corpus.x_matrix(),
-        ids=np.arange(len(corpus)),
-        tag=tag,
-        classes=corpus.class_ids(),
-    )
+    """Read a samples file as a feature set, with its class column."""
+    _, classes, vectors = read_records(path, SAMPLES_FORMAT, ("dimension",))
+    return FeatureSet(vectors=vectors, ids=np.arange(len(vectors)), tag=tag, classes=classes)

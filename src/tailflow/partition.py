@@ -12,7 +12,8 @@ row-aligned array, such as per-sample gradients. Partitioners provided:
 * uniform random and single-expert controls.
 
 Tie-breaking everywhere prefers the lowest sample/class/expert id, so every
-partitioner is bit-reproducible.
+partitioner is bit-reproducible. ``save_partition`` and ``load_partition``
+store the map in the record layout of ``records.py``.
 
 Conflict is computed in closed form, with no m x m Gram matrix: for unit
 rows u_1..u_m the mean pairwise conflict is
@@ -33,6 +34,7 @@ import numpy as np
 
 from .datagen import Corpus
 from .errors import DegenerateInputError, InsufficientDataError
+from .records import read_records, write_records
 from .seeding import rng_for
 
 __all__ = [
@@ -405,43 +407,16 @@ def composition_report(partition: Partition, corpus: Corpus) -> dict:
 
 
 def save_partition(partition: Partition, path: str | Path) -> None:
-    path = Path(path)
-    lines = [f"# {PARTITION_FORMAT} {PARTITION_VERSION}"]
-    lines.append(f"# method {partition.method}")
-    lines.append(f"# experts {partition.num_experts}")
-    for sid, k in enumerate(partition.assignments):
-        lines.append(f"{sid} {int(k)}")
-    path.write_text("\n".join(lines) + "\n")
+    header = [("method", partition.method), ("experts", partition.num_experts)]
+    write_records(path, PARTITION_FORMAT, header, partition.assignments)
 
 
 def load_partition(path: str | Path, corpus: Corpus) -> Partition:
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].startswith(f"# {PARTITION_FORMAT} "):
-        raise ValueError(f"{path}: not a {PARTITION_FORMAT} file")
-    version = int(lines[0].split()[-1])
-    if version != PARTITION_VERSION:
-        raise ValueError(f"{path}: unsupported partition version {version}")
-    method = None
-    num_experts = None
-    pairs: list[tuple[int, int]] = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        if line.startswith("# method"):
-            method = line.split()[-1]
-        elif line.startswith("# experts"):
-            num_experts = int(line.split()[-1])
-        elif not line.startswith("#"):
-            sid, k = line.split()
-            pairs.append((int(sid), int(k)))
-    if method is None or num_experts is None:
-        raise ValueError(f"{path}: missing method/experts header")
-    assignments = np.full(len(pairs), -1, dtype=np.int64)
-    for sid, k in pairs:
-        if not 0 <= sid < len(pairs):
-            raise ValueError(f"{path}: sample id {sid} out of range [0, {len(pairs)})")
-        if assignments[sid] != -1:
-            raise ValueError(f"{path}: duplicated sample id {sid}")
-        assignments[sid] = k
-    return _build(corpus, assignments, num_experts, method)
+    header, assignments, _ = read_records(path, PARTITION_FORMAT, keys=("method", "experts"))
+    if len(assignments) != len(corpus):
+        raise ValueError(f"{path}: {len(assignments)} records for a corpus of {len(corpus)}")
+    meta = dict(header)
+    try:
+        return _build(corpus, assignments, int(meta["experts"]), meta["method"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

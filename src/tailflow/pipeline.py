@@ -27,9 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, class_specs_from_config
-from .datagen import Corpus, generate_corpus, label_embedding, load_corpus, save_corpus
+from .datagen import ClassSpec, Corpus, generate_corpus, label_embedding, load_corpus, save_corpus
 from .errors import SchemaMismatchError, StageError
-from .metrics import evaluate, load_features, save_samples
+from .metrics import FeatureSet, evaluate, load_features, save_samples
 from .model import (
     BackboneConfig,
     ModelState,
@@ -140,6 +140,7 @@ class RunContext:
     out: Path
     root: int
     corpus: Corpus | None = None
+    test: Corpus | None = None
     partition: Partition | None = None
     state: ModelState | None = None
 
@@ -147,6 +148,11 @@ class RunContext:
         if self.corpus is None:
             self.corpus = load_corpus(self.out / "train_corpus.txt")
         return self.corpus
+
+    def test_corpus(self) -> Corpus:
+        if self.test is None:
+            self.test = load_corpus(self.out / "test_corpus.txt")
+        return self.test
 
     def expert_partition(self) -> Partition:
         if self.partition is None:
@@ -190,17 +196,16 @@ def _datagen(ctx: RunContext) -> None:
     # train and test corpora share the class profile, not draws
     cfg = ctx.cfg
 
-    def split(name: str, size: int) -> Corpus:
+    def split(name: str, specs: list[ClassSpec]) -> Corpus:
         corpus = generate_corpus(
-            class_specs_from_config(cfg, size), cfg.corpus_dimension,
-            derive_seed(ctx.root, f"datagen-{name}"),
+            specs, cfg.corpus_dimension, derive_seed(ctx.root, f"datagen-{name}"),
             cfg.corpus_embedding_dim, cfg.corpus_noise_scale,
         )
         save_corpus(corpus, ctx.out / f"{name}_corpus.txt")
         return corpus
 
-    ctx.corpus = split("train", cfg.corpus_size)
-    split("test", cfg.corpus_test_size)
+    ctx.corpus = split("train", class_specs_from_config(cfg))
+    ctx.test = split("test", class_specs_from_config(cfg, cfg.corpus_test_size))
 
 
 def _partition(ctx: RunContext) -> None:
@@ -256,12 +261,17 @@ def _sample(ctx: RunContext) -> None:
     save_samples(ctx.out / "generated.txt", np.vstack(vectors), np.array(classes))
 
 
+def _features(corpus: Corpus, tag: str) -> FeatureSet:
+    return FeatureSet(corpus.x_matrix(), np.arange(len(corpus)), tag, corpus.class_ids())
+
+
 def _evaluate(ctx: RunContext) -> None:
     out = ctx.out
-    generated = load_features(out / "generated.txt", tag="generated")
-    train_feats = load_features(out / "train_corpus.txt", tag="train")
-    test_feats = load_features(out / "test_corpus.txt", tag="test")
-    report = evaluate(generated, train_feats, test_feats, k=ctx.cfg.metrics_k)
+    report = evaluate(
+        load_features(out / "generated.txt", tag="generated"),
+        _features(ctx.train_corpus(), "train"), _features(ctx.test_corpus(), "test"),
+        k=ctx.cfg.metrics_k,
+    )
     (out / "metrics.json").write_text(report.to_json())
     (out / "metrics.csv").write_text(report.to_csv())
 
@@ -333,12 +343,18 @@ def run_stage(
     return manifest
 
 
+# the metrics.json fields a comparison row reports, aggregate and macro
+_COMPARED = ("coverage", "irs_adjusted", "frechet")
+
+
 def compare_runs(manifests: list[RunManifest], labels: list[str] | None = None) -> str:
     """One CSV row per run: aggregate and macro metrics plus utilization gap.
     Each artifact read is first checked against its manifest's sha256."""
     if len(manifests) < 2:
         raise ValueError("need at least two manifests to compare")
-    rows = []
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["run", *_COMPARED, *(f"macro_{f}" for f in _COMPARED), "utilization_gap"])
     schema = None
     for idx, man in enumerate(manifests):
         metrics = json.loads(man.read_artifact("evaluate", "metrics.json"))
@@ -349,32 +365,7 @@ def compare_runs(manifests: list[RunManifest], labels: list[str] | None = None) 
         elif key != schema:
             raise SchemaMismatchError(f"metric schema {key} differs from {schema}")
         label = labels[idx] if labels else Path(man.out_dir).name
-        rows.append(
-            [
-                label,
-                metrics["coverage"],
-                metrics["irs_adjusted"],
-                metrics["frechet"],
-                metrics["macro"]["coverage"],
-                metrics["macro"]["irs_adjusted"],
-                metrics["macro"]["frechet"],
-                ledger["gap"],
-            ]
-        )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "run",
-            "coverage",
-            "irs_adjusted",
-            "frechet",
-            "macro_coverage",
-            "macro_irs_adjusted",
-            "macro_frechet",
-            "utilization_gap",
-        ]
-    )
-    for row in rows:
+        row = [label, *(metrics[f] for f in _COMPARED)]
+        row += [*(metrics["macro"][f] for f in _COMPARED), ledger["gap"]]
         writer.writerow(["" if v is None else v for v in row])
     return buf.getvalue()

@@ -1,6 +1,13 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailflow.config import (
+    _BOUNDS,
+    _KEYS,
+    _PROFILES,
     ExperimentConfig,
     canonical_config_text,
     class_specs_from_config,
@@ -8,6 +15,10 @@ from tailflow.config import (
     load_experiment_config,
     parse_config_text,
 )
+from tailflow.datagen import load_corpus
+from tailflow.model import _ACTIVATIONS
+from tailflow.partition import _METHODS
+from tailflow.pipeline import run_stage
 
 SAMPLE = """
 # smoke experiment
@@ -83,6 +94,30 @@ def test_explicit_class_specs():
     # explicit classes round-trip through the flat form
     again = ExperimentConfig.from_flat(cfg.to_flat())
     assert class_specs_from_config(again) == specs
+
+
+def test_explicit_classes_scale_to_the_test_size(tmp_path):
+    text = """
+    corpus.test_size = 5
+    class.0.mean = 0.0,0.0
+    class.0.scale = 0.5
+    class.0.count = 40
+    class.0.healthy = true
+    class.1.mean = 3.0,0.0
+    class.1.scale = 0.5
+    class.1.count = 10
+    """
+    cfg = ExperimentConfig.from_flat(parse_config_text(text))
+    assert [s.count for s in class_specs_from_config(cfg)] == [40, 10]
+    # the test split scales the explicit counts as the profiles do
+    test_specs = class_specs_from_config(cfg, cfg.corpus_test_size)
+    assert [s.count for s in test_specs] == [4, 1]
+    assert [replace(s, count=0) for s in test_specs] == [
+        replace(s, count=0) for s in class_specs_from_config(cfg)
+    ]
+    run_stage(cfg, tmp_path, "datagen")
+    assert load_corpus(tmp_path / "train_corpus.txt").class_counts() == {0: 40, 1: 10}
+    assert load_corpus(tmp_path / "test_corpus.txt").class_counts() == {0: 4, 1: 1}
 
 
 def test_profiles(tmp_path):
@@ -165,3 +200,56 @@ def test_explicit_class_keys_are_typed(key, raw, message):
     cfg = ExperimentConfig.from_flat(parse_config_text(text + "\ncorpus.profile = nope"))
     with pytest.raises(ValueError, match=message):
         class_specs_from_config(cfg)
+
+
+_CHOICES = {
+    "corpus.profile": sorted(_PROFILES),
+    "partition.method": list(_METHODS),
+    "adapter.placement": ["all", "none", "last:1"],
+    "adapter.nonlinearity": sorted(_ACTIVATIONS),
+}
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _values(key, default):
+    """Values of one config key, inside its ``_BOUNDS``."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, str):
+        return st.sampled_from(_CHOICES[key])
+    low, high, exclude_low = None, None, False
+    for op, bound, keys in _BOUNDS:
+        if key in keys and op == "<=":
+            high = bound
+        elif key in keys:
+            low, exclude_low = bound, op == ">"
+    if isinstance(default, int):
+        return st.integers(low, high)
+    return st.floats(low, high, exclude_min=exclude_low, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def configs(draw):
+    defaults = ExperimentConfig()
+    values = {
+        attr: draw(_values(key, getattr(defaults, attr)))
+        for key, attr in _KEYS.items() if key != "seeds"
+    }
+    values["train_quota"] = draw(st.integers(0, values["train_batch_size"]))
+    values["seeds"] = draw(st.lists(st.integers(-(2**63), 2**63), min_size=1, max_size=3))
+    classes = {}
+    for cid in draw(st.sets(st.integers(0, 20), max_size=3)):
+        # a one-dimensional mean parses as a scalar, a longer one as a list
+        classes[f"class.{cid}.mean"] = draw(_FINITE | st.lists(_FINITE, min_size=2, max_size=3))
+        classes[f"class.{cid}.scale"] = draw(st.floats(0.0, 10.0, exclude_min=True))
+        classes[f"class.{cid}.count"] = draw(st.integers(1, 10**6))
+        classes[f"class.{cid}.healthy"] = draw(st.booleans())
+    return ExperimentConfig(**values, explicit_classes=classes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=configs())
+def test_config_text_round_trip_property(cfg):
+    again = ExperimentConfig.from_flat(parse_config_text(cfg.to_text()))
+    assert again == cfg
+    assert again.hash() == cfg.hash()

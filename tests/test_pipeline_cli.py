@@ -1,10 +1,12 @@
 import json
 import shutil
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tailflow.metrics as metrics_mod
 from tailflow.cli import main
 from tailflow.config import ExperimentConfig
 from tailflow.errors import SchemaMismatchError, StageError
@@ -55,6 +57,25 @@ class TestPipeline:
         for name in ("metrics.json", "metrics.csv", "generated.txt", "ledger.json",
                      "train_corpus.txt", "partition.txt"):
             assert (out / name).read_bytes() == (again / name).read_bytes(), name
+
+    def test_pipeline_never_reloads_a_corpus(self, smoke_run, tmp_path, monkeypatch):
+        # every stage reads the corpora datagen left in the run's context
+        def load_corpus(path):
+            raise AssertionError(f"run_pipeline re-read {path}")
+
+        read = []
+
+        def load_features(path, tag):
+            read.append(Path(path).name)
+            return metrics_mod.load_features(path, tag)
+
+        monkeypatch.setattr("tailflow.pipeline.load_corpus", load_corpus)
+        monkeypatch.setattr("tailflow.datagen.load_corpus", load_corpus)
+        monkeypatch.setattr("tailflow.pipeline.load_features", load_features)
+        run_pipeline(SMOKE, tmp_path)
+        assert read == ["generated.txt"]
+        out, _, _ = smoke_run
+        assert (tmp_path / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
 
     def test_guidance_scale_five_parses_and_runs(self, smoke_run):
         out, _, _ = smoke_run
@@ -279,12 +300,19 @@ class TestCli:
         assert not (out / "checkpoint.npz").exists()
 
     @pytest.mark.parametrize("size", ["1", "0"])
-    def test_analyze_conflicts_rejects_a_probe_without_pairs(self, tmp_path, capsys, size):
+    def test_analyze_conflicts_rejects_a_probe_without_pairs(
+        self, tmp_path, capsys, monkeypatch, size
+    ):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(SMOKE_TEXT)
         out = tmp_path / "work"
         assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
         capsys.readouterr()
+
+        def pretrain(*args, **kwargs):
+            raise AssertionError("pretrained before the probe size was checked")
+
+        monkeypatch.setattr("tailflow.cli.pretrained_backbone", pretrain)
         argv = ["analyze-conflicts", "--config", str(cfg_path), "--out", str(out),
                 "--probe-size", size]
         assert main(argv) == 2

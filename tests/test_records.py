@@ -1,0 +1,151 @@
+"""Corpus, partition and samples files: one writer, one strict reader."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from tailflow.datagen import generate_corpus, load_corpus, save_corpus, tail8_specs
+from tailflow.metrics import load_features, save_samples
+from tailflow.partition import Partition, label_tier_partition, load_partition, save_partition
+
+CORPUS = generate_corpus(tail8_specs(40), 2, seed=4)
+
+SAVE = {
+    "corpus": lambda path: save_corpus(CORPUS, path),
+    "partition": lambda path: save_partition(label_tier_partition(CORPUS, 4), path),
+    "samples": lambda path: save_samples(path, CORPUS.x, CORPUS.labels),
+}
+LOAD = {
+    "corpus": load_corpus,
+    "partition": lambda path: load_partition(path, CORPUS),
+    "samples": lambda path: load_features(path, tag="generated"),
+}
+ALL = tuple(SAVE)
+WITH_FLOATS = ("corpus", "samples")
+
+
+def _replace_first(old, new):
+    return lambda lines: [line.replace(old, new, 1) for line in lines]
+
+
+# (fault, kinds, record edited or None for a header edit, edit, message,
+#  whether the message names the line); a record edit maps the record's
+#  fields to new fields, a header edit maps all lines to new lines
+FAULTS = [
+    ("wrong format", ALL, None, lambda lines: ["# tailflow-other 1"] + lines[1:],
+     "not a tailflow-", False),
+    ("wrong version", ALL, None, lambda lines: [lines[0][:-1] + "9"] + lines[1:],
+     "not a tailflow-", False),
+    ("missing header key", ALL, None, lambda lines: lines[:1] + lines[2:],
+     "missing header key", False),
+    ("non-integer width", WITH_FLOATS, None, _replace_first("# dimension 2", "# dimension two"),
+     "invalid literal for int", False),
+    ("class line without a count", ("corpus",), None, _replace_first(" count=", " tally="),
+     "class 0: missing count=", False),
+    ("extra column", ALL, 0, lambda f: f + ["0"], "fields, expected", True),
+    ("short record", ALL, 2, lambda f: f[:-1], "fields, expected", True),
+    ("blank line", ALL, 1, lambda f: [], "0 fields, expected", True),
+    ("integer column", ALL, 0, lambda f: [f[0], "one", *f[2:]], "invalid literal for int", True),
+    ("id column", ALL, 3, lambda f: ["3.0", *f[1:]], "invalid literal for int", True),
+    ("float column", WITH_FLOATS, 0, lambda f: [*f[:2], "1.0.0", *f[3:]],
+     "could not convert string to float", True),
+    ("nan", WITH_FLOATS, 0, lambda f: [*f[:2], "nan", *f[3:]], "non-finite value", True),
+    ("inf", WITH_FLOATS, 5, lambda f: [*f[:-1], "-inf"], "non-finite value", True),
+    ("id gap", ALL, 0, lambda f: ["1", *f[1:]], "sample ids must be dense from 0 in order", True),
+    ("duplicated id", ALL, 1, lambda f: ["0", *f[1:]], "duplicated sample id 0", True),
+    ("negative id", ALL, 0, lambda f: ["-1", *f[1:]], r"sample id -1 out of range \[0, 41\)",
+     True),
+    ("unknown class", ("corpus",), 0, lambda f: [f[0], "99", *f[2:]],
+     "sample 0 has unknown class 99", False),
+    ("expert out of range", ("partition",), 0, lambda f: [f[0], "4"], "expert id out of range",
+     False),
+    ("missing last record", ("corpus",), None, lambda lines: lines[:-1],
+     "class 7: 0 samples, spec says 1", False),
+    ("missing last record", ("partition",), None, lambda lines: lines[:-1],
+     "40 records for a corpus of 41", False),
+]
+
+
+@pytest.mark.parametrize("kind, name, row, edit, message, names_line", [
+    pytest.param(kind, name, row, edit, message, names_line, id=f"{kind}-{name}")
+    for name, kinds, row, edit, message, names_line in FAULTS
+    for kind in kinds
+])
+def test_malformed_files_are_rejected_naming_file_and_line(
+    tmp_path, kind, name, row, edit, message, names_line
+):
+    path = tmp_path / f"{kind}.txt"
+    SAVE[kind](path)
+    lines = path.read_text().splitlines()
+    if row is None:
+        lines = edit(lines)
+    else:
+        at = next(i for i, line in enumerate(lines) if not line.startswith("#")) + row
+        lines[at] = " ".join(edit(lines[at].split()))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message) as info:
+        LOAD[kind](path)
+    text = str(info.value)
+    assert text.startswith(f"{path}: ")
+    if names_line:
+        assert f"{path}: line {at + 1}: " in text
+    else:
+        assert ": line " not in text
+
+
+def test_the_writer_refuses_non_finite_floats(tmp_path):
+    vectors = np.zeros((4, 2))
+    vectors[2, 1] = np.nan
+    path = tmp_path / "generated.txt"
+    with pytest.raises(ValueError, match="record 2 has a non-finite value") as info:
+        save_samples(path, vectors, np.zeros(4, dtype=np.int64))
+    assert str(path) in str(info.value)
+    assert not path.exists()
+
+
+def test_the_three_kinds_share_one_layout(tmp_path):
+    SAVE["samples"](tmp_path / "samples.txt")
+    SAVE["corpus"](tmp_path / "corpus.txt")
+    samples = (tmp_path / "samples.txt").read_text().splitlines()
+    corpus = (tmp_path / "corpus.txt").read_text().splitlines()
+    assert samples[:2] == ["# tailflow-samples 1", "# dimension 2"]
+    records = [line for line in corpus if not line.startswith("#")]
+    # a corpus record is the samples record with the embedding row appended
+    for sample, record in zip(samples[2:], records, strict=True):
+        assert record.startswith(sample + " ")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), experts=st.integers(1, 6),
+       method=st.sampled_from(["label-tier", "embedding-kmeans", "random"]))
+def test_partition_round_trip_property(data, experts, method):
+    assignments = data.draw(hnp.arrays(np.int64, len(CORPUS), elements=st.integers(0, experts - 1)))
+    part = Partition(assignments, experts, method, composition=[])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "partition.txt"
+        save_partition(part, path)
+        loaded = load_partition(path, CORPUS)
+    assert loaded.assignments.dtype == np.int64
+    assert loaded.assignments.tobytes() == assignments.tobytes()
+    assert (loaded.num_experts, loaded.method) == (experts, method)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 12), dimension=st.integers(1, 4))
+def test_samples_round_trip_property(data, n, dimension):
+    vectors = data.draw(hnp.arrays(np.float64, (n, dimension),
+                                   elements=st.floats(allow_nan=False, allow_infinity=False)))
+    classes = data.draw(hnp.arrays(np.int64, n, elements=st.integers(-(2**63), 2**63 - 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "generated.txt"
+        save_samples(path, vectors, classes)
+        loaded = load_features(path, tag="generated")
+    assert loaded.vectors.shape == (n, dimension)
+    assert loaded.vectors.tobytes() == vectors.tobytes()  # -0.0 and subnormals too
+    assert loaded.classes.tobytes() == classes.tobytes()
+    assert loaded.ids.tolist() == list(range(n))
