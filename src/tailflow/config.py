@@ -180,7 +180,8 @@ class ExperimentConfig:
                 elif isinstance(current, float):
                     setattr(cfg, attr, _float_value(key, value))
                 else:
-                    setattr(cfg, attr, str(value))
+                    # a list, as "adapter.placement = 0,1" parses, keeps its text form
+                    setattr(cfg, attr, _render_value(value))
         cfg.validate()
         return cfg
 

@@ -7,8 +7,11 @@ distance between Gaussians fitted to two feature sets.
 
 Distances are plain Euclidean, computed as ``sqrt(sum((a - b)**2))`` both in
 the vectorized paths and in the brute-force reference loops the tests use,
-so the two paths agree exactly (not just within tolerance). At desk scale
-the "features" are the data vectors themselves.
+so the two paths agree exactly (not just within tolerance). numpy sums
+fewer than 8 terms left to right, so below 8 features the matrix kernel
+adds the squared differences one column at a time, in that order; from 8
+on, numpy sums pairwise, so the kernel keeps the broadcast sum there. At
+desk scale the "features" are the data vectors themselves.
 
 ``evaluate`` builds three distance matrices and reads every value of its
 report from them: train x train (diagonal set to inf once, for the k-NN
@@ -96,21 +99,44 @@ def _require_nonempty(*sets: FeatureSet) -> None:
             raise InsufficientDataError(f"empty {s.tag} feature set")
 
 
-_ROW_BLOCK = 256  # rows per block of _distance_matrix: a block x m x F temporary
+_ROW_BLOCK = 256  # rows per block of _distance_matrix: a block x m x F temporary from F = 8
+_PAIRWISE_TERMS = 8  # numpy sums fewer terms than this in order; from here on, pairwise
 
 
 def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of ``a`` and ``b``, built
-    ``_ROW_BLOCK`` rows of ``a`` at a time. Each entry is reduced over the
-    same contiguous F axis as one full broadcast would be, so the values do
-    not depend on the blocking."""
+    """Euclidean distances between the rows of ``a`` and ``b``, built a block
+    of rows of ``a`` at a time; the values do not depend on the blocking.
+
+    Below ``_PAIRWISE_TERMS`` features a block is a quarter of
+    ``_ROW_BLOCK`` rows, and the squared differences are added into it one
+    column at a time: the order in which a sum over the F axis adds them, so
+    each entry equals that sum bit for bit. One scratch array holds a
+    column's term; with numpy's broadcast buffers, which take up to twice
+    the term, it stays within one ``_ROW_BLOCK`` x m array. From 8 features
+    on, numpy's pairwise sum keeps 8 partial sums, an order the column loop
+    does not reproduce, so those widths keep the broadcast sum over the
+    contiguous F axis."""
     out = np.empty((len(a), len(b)))
-    for start in range(0, len(a), _ROW_BLOCK):
-        stop = start + _ROW_BLOCK
-        diff = a[start:stop, None, :] - b[None, :, :]
-        diff *= diff
-        diff.sum(axis=2, out=out[start:stop])
-        np.sqrt(out[start:stop], out=out[start:stop])
+    width = a.shape[1]
+    by_column = 0 < width < _PAIRWISE_TERMS
+    step = max(_ROW_BLOCK // 4, 1) if by_column else _ROW_BLOCK
+    term = np.empty((min(step, len(a)), len(b))) if by_column else None
+    for start in range(0, len(a), step):
+        rows = slice(start, start + step)
+        block = out[rows]
+        if by_column:
+            np.subtract.outer(a[rows, 0], b[:, 0], out=block)
+            block *= block
+            for f in range(1, width):
+                part = term[: len(block)]
+                np.subtract.outer(a[rows, f], b[:, f], out=part)
+                part *= part
+                block += part
+        else:
+            diff = a[rows, None, :] - b[None, :, :]
+            diff *= diff
+            diff.sum(axis=2, out=block)
+        np.sqrt(block, out=block)
     return out
 
 

@@ -9,11 +9,18 @@ Changing any label or the root changes the stream; nothing else does.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 
 __all__ = ["child_seed_sequence", "rng_for", "derive_seed"]
+
+
+@functools.lru_cache(maxsize=256)  # the program's string labels are a few dozen names
+def _str_word(label: str) -> int:
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 def _label_word(label: str | int) -> int:
@@ -23,8 +30,7 @@ def _label_word(label: str | int) -> int:
         if label < 0:
             raise ValueError(f"negative label {label}")
         return label
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    return _str_word(label)
 
 
 def child_seed_sequence(root: int, *labels: str | int) -> np.random.SeedSequence:

@@ -181,6 +181,15 @@ def test_load_rejects_bad_values(text, message):
         ExperimentConfig.from_flat(parse_config_text(text))
 
 
+def test_list_placement_loads_as_its_text_and_round_trips():
+    # "0,1" parses as a list; the string key keeps it as text, not a repr
+    cfg = ExperimentConfig.from_flat(parse_config_text("adapter.placement = 0,1"))
+    assert cfg.adapter_placement == "0,1"
+    assert "adapter.placement = 0,1\n" in cfg.to_text()
+    again = ExperimentConfig.from_flat(parse_config_text(cfg.to_text()))
+    assert again == cfg and again.hash() == cfg.hash()
+
+
 CLASS_KEYS = {"class.0.mean": "0.0,0.0", "class.0.scale": "0.5", "class.0.count": "30"}
 
 
@@ -205,7 +214,7 @@ def test_explicit_class_keys_are_typed(key, raw, message):
 _CHOICES = {
     "corpus.profile": sorted(_PROFILES),
     "partition.method": list(_METHODS),
-    "adapter.placement": ["all", "none", "last:1"],
+    "adapter.placement": ["all", "none", "last:1", "0", "0,0"],
     "adapter.nonlinearity": sorted(_ACTIVATIONS),
 }
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -66,17 +66,55 @@ class TestKnnRadius:
             knn_radius(np.array([0.0]), fs([[0.0], [1.0]]), k=2)
 
 
+def _kernel_inputs(rng, n, m, f_dim):
+    """Rows for the distance kernel with the entries that test its order of
+    additions: duplicated points, -0.0 against 0.0, and magnitudes near
+    1e154, whose squares are near the float64 maximum or overflow to inf."""
+    a = rng.standard_normal((n, f_dim)) * 10.0
+    b = rng.standard_normal((m, f_dim))
+    a[n // 2] = -0.0
+    a[-1, ::2] = 2e154  # squares overflow to inf
+    a[1 % n] = a[0]  # a duplicate within a
+    b[0] = a[0]  # a duplicate across the sets: distance exactly 0
+    b[1] = b[0]  # a duplicate within b
+    b[2] = 0.0
+    b[3] = 9e153  # squares near 1e308: finite alone, inf once summed
+    return a, b
+
+
 def test_blocked_distance_matrix_equals_brute_force():
-    # more rows than one block, and feature widths past numpy's 8-wide
-    # pairwise-sum unrolling
+    # row counts off the multiples of both row steps, and a single row;
+    # widths on both sides of numpy's 8-term pairwise-sum unrolling
     rng = np.random.default_rng(21)
-    n = 2 * metrics_mod._ROW_BLOCK + 3
-    for f_dim in (2, 9, 17):
-        a = rng.standard_normal((n, f_dim)) * 10.0
-        b = rng.standard_normal((3, f_dim))
-        got = metrics_mod._distance_matrix(a, b)
-        assert got.shape == (n, 3)
-        assert all(got[i, j] == dist(a[i], b[j]) for i in range(n) for j in range(3))
+    block = metrics_mod._ROW_BLOCK
+    for f_dim in (1, 2, 7, 8, 9, 17):
+        for n in (2 * block + 3, block // 4 + 1, 1):
+            a, b = _kernel_inputs(rng, n, 5, f_dim)
+            with np.errstate(over="ignore"):
+                got = metrics_mod._distance_matrix(a, b)
+                want = [[dist(a[i], b[j]) for j in range(len(b))] for i in range(n)]
+            assert got.shape == (n, len(b))
+            assert np.isinf(got).any() and (got == 0.0).any()
+            assert all(got[i, j] == want[i][j] for i in range(n) for j in range(len(b)))
+
+
+@pytest.mark.parametrize("n, m, f_dim", [
+    (2 * metrics_mod._ROW_BLOCK + 3, 700, 2), (300, 130, 7), (70, 40, 1),
+])
+def test_column_distance_kernel_allocates_at_most_a_block(n, m, f_dim):
+    # below 8 features the kernel holds no block x m x F temporary: what it
+    # allocates beyond its output (scratch plus numpy's iterator buffers)
+    # stays within one block x m array
+    rng = np.random.default_rng(23)
+    a, b = rng.standard_normal((n, f_dim)), rng.standard_normal((m, f_dim))
+    metrics_mod._distance_matrix(a, b)
+    tracemalloc.start()
+    try:
+        out = metrics_mod._distance_matrix(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= metrics_mod._ROW_BLOCK * m * 8
 
 
 def test_irs_train_takes_no_transposed_copy():

@@ -159,6 +159,18 @@ class TestCli:
                      "--out", str(tmp_path / "cmp")]) == 0
         capsys.readouterr()
 
+    def test_list_placement_runs_as_all_blocks(self, smoke_run, tmp_path, capsys):
+        # "0,1" names both blocks of the smoke backbone, as "all" does
+        out, _, _ = smoke_run
+        text = SMOKE_TEXT.replace("adapter.placement = all", "adapter.placement = 0,1")
+        assert "adapter.placement = 0,1\n" in text
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        for name in ("metrics.json", "generated.txt", "ledger.json"):
+            assert (tmp_path / "run" / name).read_bytes() == (out / name).read_bytes(), name
+        capsys.readouterr()
+
     def test_stage_refuses_other_config_or_seed(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(SMOKE_TEXT)
