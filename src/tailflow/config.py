@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .datagen import ClassSpec, _scaled_counts, chest_longtail_specs, tail8_specs
-from .model import _ACTIVATIONS
+from .model import _ACTIVATIONS, _placement_blocks
 from .partition import _METHODS
 
 __all__ = [
@@ -217,6 +217,13 @@ class ExperimentConfig:
                 raise ValueError(f"{key}: expected class.<int >= 0>.<mean|scale|count|healthy>")
         if self.train_quota > self.train_batch_size:
             raise ValueError("train.quota exceeds train.batch_size")
+        if self.backbone_time_embed_dim % 2 != 0:
+            raise ValueError(f"backbone.time_embed_dim: must be even (sin/cos pairs), "
+                             f"got {self.backbone_time_embed_dim}")
+        try:  # lists no blocks for "all" or "last:<m>", so a huge backbone.blocks is cheap
+            _placement_blocks(self.backbone_blocks, self.adapter_placement)
+        except ValueError as exc:
+            raise ValueError(f"adapter.placement: {exc}") from None
         if self.partition_method not in _METHODS:
             raise ValueError(f"partition.method: unknown method {self.partition_method!r}")
         if self.adapter_nonlinearity not in _ACTIVATIONS:

@@ -5,23 +5,25 @@ Implements kNN-radius Coverage, the retrieval-based diversity score (unique
 by the train score so memorization is not rewarded), and the Fréchet
 distance between Gaussians fitted to two feature sets.
 
-Distances are plain Euclidean, computed as ``sqrt(sum((a - b)**2))`` both in
-the vectorized paths and in the brute-force reference loops the tests use,
-so the two paths agree exactly (not just within tolerance). numpy sums
-fewer than 8 terms left to right, so below 8 features the matrix kernel
-adds the squared differences one column at a time, in that order; from 8
-on, numpy sums pairwise, so the kernel keeps the broadcast sum there. At
-desk scale the "features" are the data vectors themselves.
+Distances are plain Euclidean, ``sqrt(sum((a - b)**2))``, and every one in
+this module comes from one kernel, ``_distance_matrix``; the brute-force
+reference loops the tests use compute the same sum, so the two agree
+exactly. numpy sums fewer than 8 terms left to right, so below 8 features
+the kernel adds the squared differences one column at a time, in that
+order; from 8 on, numpy sums pairwise, so the kernel keeps the broadcast
+sum there. At desk scale the "features" are the data vectors themselves.
 
-``evaluate`` builds three distance matrices and reads every value of its
-report from them: train x train (diagonal set to inf once, for the k-NN
-radii), train x generated (coverage; the argmin down its columns, taken in
-blocks of columns, gives each generated row's 1-NN in train, since
-``(a - b)**2`` equals ``(b - a)**2`` exactly) and generated x test.
-Each per-class row reads ``np.ix_`` slices of the same three matrices. The
-public metric functions and ``evaluate`` share one implementation of each
-metric, written on distance matrices. Samples files use the record layout
-of ``records.py``.
+``evaluate`` builds two distance matrices, generated x train and generated
+x test. Coverage reads the minimum down each train column, and both
+retrieval scores the first argmin along each generated row. The k-NN radii
+come from the train rows, ``_ROW_BLOCK`` of them at a time against the
+whole set with the block's own diagonal set to inf, so no train x train
+matrix is held. Each value is exact: ``(a - b)**2`` equals ``(b - a)**2``,
+a kernel entry does not depend on the other rows, and neither a minimum
+nor a k-th smallest value depends on the order of its inputs. Per-class
+rows read ``np.ix_`` slices of the two matrices. The public metric
+functions and ``evaluate`` share one implementation of each metric.
+Samples files use the record layout of ``records.py``.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def _require_nonempty(*sets: FeatureSet) -> None:
             raise InsufficientDataError(f"empty {s.tag} feature set")
 
 
-_ROW_BLOCK = 256  # rows per block of _distance_matrix: a block x m x F temporary from F = 8
+_ROW_BLOCK = 256  # rows per block of _distance_matrix and of _knn_radii
 _PAIRWISE_TERMS = 8  # numpy sums fewer terms than this in order; from here on, pairwise
 
 
@@ -116,8 +118,10 @@ def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     on, numpy's pairwise sum keeps 8 partial sums, an order the column loop
     does not reproduce, so those widths keep the broadcast sum over the
     contiguous F axis."""
-    out = np.empty((len(a), len(b)))
     width = a.shape[1]
+    if b.shape[1] != width:
+        raise ValueError(f"feature widths differ: {width} and {b.shape[1]}")
+    out = np.empty((len(a), len(b)))
     by_column = 0 < width < _PAIRWISE_TERMS
     step = max(_ROW_BLOCK // 4, 1) if by_column else _ROW_BLOCK
     term = np.empty((min(step, len(a)), len(b))) if by_column else None
@@ -140,36 +144,31 @@ def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _knn_radii(self_dists: np.ndarray, k: int) -> np.ndarray:
-    """k-th smallest entry of each row of a set's self-distance matrix whose
-    diagonal is inf: the distance to the k-th nearest other member."""
-    n = len(self_dists)
+def _knn_radii(vectors: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each row to its k-th nearest other row, ``_ROW_BLOCK``
+    rows at a time, with the block's own diagonal set to inf."""
+    n = len(vectors)
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < k + 1:
         raise InsufficientDataError(f"need at least {k + 1} points for k = {k}, have {n}")
-    return np.partition(self_dists, k - 1, axis=1)[:, k - 1]
+    radii = np.empty(n)
+    for start in range(0, n, _ROW_BLOCK):
+        block = _distance_matrix(vectors[start : start + _ROW_BLOCK], vectors)
+        np.fill_diagonal(block[:, start:], np.inf)
+        block.partition(k - 1, axis=1)
+        radii[start : start + len(block)] = block[:, k - 1]
+    return radii
 
 
-def _coverage(radii: np.ndarray, real_to_gen: np.ndarray) -> float:
-    """Fraction of real rows with some generated point within their radius."""
-    return float((real_to_gen.min(axis=1) <= radii).mean())
+def _coverage(radii: np.ndarray, gen_to_real: np.ndarray) -> float:
+    """Fraction of real columns with some generated row within their radius."""
+    return float((gen_to_real.min(axis=0) <= radii).mean())
 
 
 def _nearest_ids(gen_to_ref: np.ndarray, ref_ids: np.ndarray) -> np.ndarray:
     """1-NN reference id of each generated row; the first minimum wins."""
     return ref_ids[np.argmin(gen_to_ref, axis=1)]
-
-
-def _nearest_ids_by_column(ref_to_gen: np.ndarray, ref_ids: np.ndarray) -> np.ndarray:
-    """``_nearest_ids`` of ``ref_to_gen.T`` without a transposed copy of the
-    whole matrix: the argmin down blocks of ``_ROW_BLOCK`` columns. Each
-    column's argmin still runs over all rows, so the first minimum wins."""
-    nearest = np.empty(ref_to_gen.shape[1], dtype=np.intp)
-    for start in range(0, len(nearest), _ROW_BLOCK):
-        stop = start + _ROW_BLOCK
-        nearest[start:stop] = np.argmin(ref_to_gen[:, start:stop], axis=0)
-    return ref_ids[nearest]
 
 
 def _irs(nearest_ids: np.ndarray, ref_ids: np.ndarray) -> float:
@@ -179,9 +178,7 @@ def _irs(nearest_ids: np.ndarray, ref_ids: np.ndarray) -> float:
 
 def knn_radii(fset: FeatureSet, k: int) -> np.ndarray:
     """Distance from each member to its k-th nearest other member."""
-    dists = _distance_matrix(fset.vectors, fset.vectors)
-    np.fill_diagonal(dists, np.inf)
-    return _knn_radii(dists, k)
+    return _knn_radii(fset.vectors, k)
 
 
 def knn_radius(x: np.ndarray, fset: FeatureSet, k: int) -> float:
@@ -190,11 +187,9 @@ def knn_radius(x: np.ndarray, fset: FeatureSet, k: int) -> float:
     x = np.asarray(x, dtype=np.float64)
     if k < 1:
         raise ValueError("k must be >= 1")
-    diff = fset.vectors - x[None, :]
-    dists = np.sqrt((diff * diff).sum(axis=1))
+    dists = _distance_matrix(x[None, :], fset.vectors)[0]
     matches = np.flatnonzero((fset.vectors == x[None, :]).all(axis=1))
-    if len(matches) > 0:
-        dists = np.delete(dists, matches[0])
+    dists = np.delete(dists, matches[:1])
     if len(dists) < k:
         raise InsufficientDataError(f"need {k} other points, have {len(dists)}")
     return float(np.partition(dists, k - 1)[k - 1])
@@ -204,7 +199,8 @@ def coverage(real: FeatureSet, generated: FeatureSet, k: int = DEFAULT_K) -> flo
     """Fraction of real points whose k-NN-radius ball contains at least one
     generated point."""
     _require_nonempty(real, generated)
-    return _coverage(knn_radii(real, k), _distance_matrix(real.vectors, generated.vectors))
+    gen_to_real = _distance_matrix(generated.vectors, real.vectors)
+    return _coverage(_knn_radii(real.vectors, k), gen_to_real)
 
 
 def retrieval_ids(generated: FeatureSet, reference: FeatureSet) -> np.ndarray:
@@ -330,19 +326,17 @@ def _classes_of(fset: FeatureSet) -> np.ndarray:
 
 
 def _row(
-    train_train: np.ndarray,
-    train_gen: np.ndarray,
+    gen_train: np.ndarray,
     gen_test: np.ndarray,
     train: FeatureSet,
     generated: FeatureSet,
     test_ids: np.ndarray,
     k: int,
 ) -> dict[str, float | None]:
-    """One report row, read from the set's three distance matrices (train x
-    train with an inf diagonal, train x generated, generated x test)."""
+    """One report row, from the set's generated x train and x test matrices."""
     row: dict[str, float | None] = {
-        "coverage": _coverage(_knn_radii(train_train, k), train_gen),
-        "irs_train": _irs(_nearest_ids_by_column(train_gen, train.ids), train.ids),
+        "coverage": _coverage(_knn_radii(train.vectors, k), gen_train),
+        "irs_train": _irs(_nearest_ids(gen_train, train.ids), train.ids),
         "irs_test": None,
         "irs_adjusted": None,
         "frechet": frechet_distance(train, generated) if len(generated) >= 2 else None,
@@ -373,13 +367,11 @@ def evaluate(
     train_cls = _classes_of(real_train)
     test_cls = _classes_of(real_test)
 
-    train_train = _distance_matrix(real_train.vectors, real_train.vectors)
-    np.fill_diagonal(train_train, np.inf)
-    train_gen = _distance_matrix(real_train.vectors, generated.vectors)
+    gen_train = _distance_matrix(generated.vectors, real_train.vectors)
     gen_test = _distance_matrix(generated.vectors, real_test.vectors)
 
     report = MetricReport(
-        **_row(train_train, train_gen, gen_test, real_train, generated, real_test.ids, k),
+        **_row(gen_train, gen_test, real_train, generated, real_test.ids, k),
         k=k,
         metadata={"distance": "euclidean", "coverage_reference": "train"},
     )
@@ -396,7 +388,7 @@ def evaluate(
             report.skipped[c] = "no generated samples"
             continue
         report.per_class[c] = _row(
-            train_train[np.ix_(tr, tr)], train_gen[np.ix_(tr, ge)], gen_test[np.ix_(ge, te)],
+            gen_train[np.ix_(ge, tr)], gen_test[np.ix_(ge, te)],
             real_train.subset(tr), generated.subset(ge), real_test.ids[te], k,
         )
 

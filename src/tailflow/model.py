@@ -176,22 +176,22 @@ class LossGradients:
 
 def resolve_placement(num_blocks: int, spec: str | Sequence[int]) -> tuple[int, ...]:
     """Placement spec: "all", "none", "last:<m>", or explicit block ids."""
-    if isinstance(spec, str):
-        if spec == "all":
-            return tuple(range(num_blocks))
-        if spec == "none":
-            return ()
-        if spec.startswith("last:"):
-            m = int(spec.split(":", 1)[1])
-            if not 0 <= m <= num_blocks:
-                raise ValueError(f"last:{m} out of range for {num_blocks} blocks")
-            return tuple(range(num_blocks - m, num_blocks))
-        blocks = tuple(int(b) for b in spec.split(","))
-    else:
-        blocks = tuple(int(b) for b in spec)
+    return tuple(sorted(set(_placement_blocks(num_blocks, spec))))
+
+
+def _placement_blocks(num_blocks: int, spec: str | Sequence[int]) -> Sequence[int]:
+    """The checked blocks of a placement spec; "all" and "last:<m>" stay a range."""
+    if isinstance(spec, str) and spec in ("all", "none"):
+        return range(num_blocks if spec == "all" else 0)
+    if isinstance(spec, str) and spec.startswith("last:"):
+        m = int(spec[5:])
+        if not 0 <= m <= num_blocks:
+            raise ValueError(f"last:{m} out of range for {num_blocks} blocks")
+        return range(num_blocks - m, num_blocks)
+    blocks = tuple(int(b) for b in (spec.split(",") if isinstance(spec, str) else spec))
     if any(not 0 <= b < num_blocks for b in blocks):
         raise ValueError(f"block id out of range in placement {blocks}")
-    return tuple(sorted(set(blocks)))
+    return blocks
 
 
 def init_backbone(config: BackboneConfig, seed: int) -> dict[str, np.ndarray]:

@@ -175,6 +175,13 @@ def test_float_keys_accept_integers():
     ("class.0.colour = red", "class.0.colour: expected class.<int >= 0>"),
     ("class.x.count = 3", "class.x.count: expected class.<int >= 0>"),
     ("class.0 = 1", "class.0: expected class.<int >= 0>"),
+    ("adapter.placement = 0,5", r"adapter.placement: block id out of range in placement \(0, 5\)"),
+    ("adapter.placement = 2", r"adapter.placement: block id out of range in placement \(2,\)"),
+    ("adapter.placement = last:3", "adapter.placement: last:3 out of range for 2 blocks"),
+    ("adapter.placement = 0,x", "adapter.placement: invalid literal for int"),
+    ("adapter.placement = last:one", "adapter.placement: invalid literal for int"),
+    ("adapter.placement = 0.5", "adapter.placement: invalid literal for int"),
+    ("backbone.time_embed_dim = 3", r"backbone.time_embed_dim: must be even \(sin/cos"),
 ])
 def test_load_rejects_bad_values(text, message):
     with pytest.raises(ValueError, match=message):
@@ -245,6 +252,7 @@ def configs(draw):
         for key, attr in _KEYS.items() if key != "seeds"
     }
     values["train_quota"] = draw(st.integers(0, values["train_batch_size"]))
+    values["backbone_time_embed_dim"] = 2 * draw(st.integers(1))  # sin/cos pairs: any even >= 2
     values["seeds"] = draw(st.lists(st.integers(-(2**63), 2**63), min_size=1, max_size=3))
     classes = {}
     for cid in draw(st.sets(st.integers(0, 20), max_size=3)):

@@ -51,13 +51,24 @@ class TestKnnRadius:
         assert knn_radius(np.array([2.0]), points, k=1) == 1.0
 
     def test_accelerated_equals_brute_force_exactly(self):
+        # across the radii's row blocks and on both sides of the kernel's
+        # 8-feature switch; duplicated rows give tied and zero distances, and
+        # a run of 12 equal rows across a block boundary gives zero radii
         rng = np.random.default_rng(0)
-        pts = rng.standard_normal((50, 2))
-        feats = fs(pts)
-        radii = knn_radii(feats, k=5)
-        for i in range(50):
-            assert radii[i] == knn_radius_brute(pts[i], pts, 5, exclude=i)
-            assert knn_radius(pts[i], feats, k=5) == radii[i]
+        block = metrics_mod._ROW_BLOCK
+        n = 2 * block + 3
+        for f_dim in (1, 2, 7, 8, 9, 17):
+            pts = rng.standard_normal((n, f_dim))
+            pts[rng.integers(0, n, 40)] = pts[rng.integers(0, n, 40)]
+            pts[block - 6 : block + 6] = pts[block - 6]
+            pts[-1] = pts[2 * block]
+            feats = fs(pts)
+            radii = knn_radii(feats, k=5)
+            assert (radii == 0.0).any()
+            assert all(knn_radius(pts[i], feats, k=5) == radii[i] for i in range(n))
+            # the O(n) loop oracle on every 16th row and the rows at both block edges
+            for i in {*range(0, n, 16), *range(block - 6, block + 6), *range(2 * block - 3, n)}:
+                assert radii[i] == knn_radius_brute(pts[i], pts, 5, exclude=i)
 
     def test_insufficient_points(self):
         with pytest.raises(InsufficientDataError):
@@ -98,6 +109,16 @@ def test_blocked_distance_matrix_equals_brute_force():
             assert all(got[i, j] == want[i][j] for i in range(n) for j in range(len(b)))
 
 
+def test_mismatched_feature_widths_are_rejected():
+    # the column kernel takes its width from the first operand, so a
+    # narrower one would otherwise compare only the leading columns
+    narrow, wide = fs(np.zeros((6, 2))), fs(np.ones((6, 3)))
+    for call in (lambda: irs(narrow, wide), lambda: coverage(wide, narrow, k=2),
+                 lambda: knn_radius(np.zeros(2), wide, k=2)):
+        with pytest.raises(ValueError, match="feature widths differ: 2 and 3"):
+            call()
+
+
 @pytest.mark.parametrize("n, m, f_dim", [
     (2 * metrics_mod._ROW_BLOCK + 3, 700, 2), (300, 130, 7), (70, 40, 1),
 ])
@@ -118,26 +139,39 @@ def test_column_distance_kernel_allocates_at_most_a_block(n, m, f_dim):
 
 
 def test_irs_train_takes_no_transposed_copy():
-    # coarse points, so tied 1-NN distances abound; irs_train reads the
-    # argmin down train x generated columns block by block, where a
-    # transposed copy of the whole matrix would cost train_gen.nbytes
+    # coarse points, so tied 1-NN distances abound; irs_train reads the row
+    # argmin of generated x train, where a transposed copy of the matrix
+    # would cost gen_train.nbytes
     rng = np.random.default_rng(22)
     train = fs(np.round(rng.standard_normal((600, 2)), 1), "train")
     gen = fs(np.round(rng.standard_normal((3000, 2)), 1), "generated")
-    train_train = metrics_mod._distance_matrix(train.vectors, train.vectors)
-    np.fill_diagonal(train_train, np.inf)
-    train_gen = metrics_mod._distance_matrix(train.vectors, gen.vectors)
+    gen_train = metrics_mod._distance_matrix(gen.vectors, train.vectors)
     tracemalloc.start()
     try:
-        row = metrics_mod._row(train_train, train_gen, np.empty((3000, 0)), train, gen,
+        row = metrics_mod._row(gen_train, np.empty((3000, 0)), train, gen,
                                np.array([], dtype=np.int64), 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < train_gen.nbytes / 2
+    assert peak < gen_train.nbytes / 2
     assert row["irs_train"] == irs(gen, train)
-    assert np.array_equal(metrics_mod._nearest_ids_by_column(train_gen, train.ids),
-                          metrics_mod._nearest_ids(train_gen.T, train.ids))
+
+
+def test_evaluate_holds_no_train_by_train_matrix():
+    # the k-NN radii are taken a block of train rows at a time, so the peak
+    # stays far below one n_train x n_train float64 matrix
+    rng = np.random.default_rng(24)
+    n_train = 3000
+    train = fs(rng.standard_normal((n_train, 2)), "train", classes=rng.integers(0, 3, n_train))
+    gen = fs(rng.standard_normal((300, 2)), "generated", classes=rng.integers(0, 3, 300))
+    test = fs(rng.standard_normal((200, 2)), "test", classes=rng.integers(0, 3, 200))
+    tracemalloc.start()
+    try:
+        evaluate(gen, train, test, k=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_train * n_train * 8 / 2
 
 
 class TestCoverage:
