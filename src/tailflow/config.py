@@ -230,6 +230,11 @@ class ExperimentConfig:
             raise ValueError(f"adapter.nonlinearity: unknown {self.adapter_nonlinearity!r}")
         if not self.explicit_classes and self.corpus_profile not in _PROFILES:
             raise ValueError(f"corpus.profile: unknown profile {self.corpus_profile!r}")
+        # the counts do not depend on corpus.dimension, the length of every mean
+        largest = max(s.count for s in class_specs_from_config(replace(self, corpus_dimension=1)))
+        if largest < self.metrics_k + 1:
+            raise ValueError(f"metrics.k: {self.metrics_k} needs a train class of at least "
+                             f"{self.metrics_k + 1} members; the largest has {largest}")
 
 
 # dotted config key -> field name: the field name with its first "_" as "."

@@ -13,17 +13,19 @@ the kernel adds the squared differences one column at a time, in that
 order; from 8 on, numpy sums pairwise, so the kernel keeps the broadcast
 sum there. At desk scale the "features" are the data vectors themselves.
 
-``evaluate`` builds two distance matrices, generated x train and generated
-x test. Coverage reads the minimum down each train column, and both
-retrieval scores the first argmin along each generated row. The k-NN radii
-come from the train rows, ``_ROW_BLOCK`` of them at a time against the
-whole set with the block's own diagonal set to inf, so no train x train
-matrix is held. Each value is exact: ``(a - b)**2`` equals ``(b - a)**2``,
-a kernel entry does not depend on the other rows, and neither a minimum
-nor a k-th smallest value depends on the order of its inputs. Per-class
-rows read ``np.ix_`` slices of the two matrices. The public metric
-functions and ``evaluate`` share one implementation of each metric.
-Samples files use the record layout of ``records.py``.
+``evaluate`` holds no generated x reference matrix. ``_nearest`` passes
+``_ROW_BLOCK`` generated rows at a time through the kernel and keeps the
+first argmin of each generated row, which both retrieval scores read, and
+a running minimum down each reference column, which coverage reads. The
+k-NN radii come from the train rows, a block of them at a time against the
+whole set with the block's own diagonal set to inf. Each per-class row
+computes its own blocks from the class's rows. Each value is exact:
+``(a - b)**2`` equals ``(b - a)**2``, a kernel entry does not depend on the
+other rows, neither a minimum nor a k-th smallest value depends on the
+order of its inputs, and each argmin still runs along a whole generated
+row, so the first of tied minima wins. The public metric functions and
+``evaluate`` share one implementation of each metric. Samples files use
+the record layout of ``records.py``.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def _require_nonempty(*sets: FeatureSet) -> None:
             raise InsufficientDataError(f"empty {s.tag} feature set")
 
 
-_ROW_BLOCK = 256  # rows per block of _distance_matrix and of _knn_radii
+_ROW_BLOCK = 256  # rows per block of _distance_matrix, _knn_radii and _nearest
 _PAIRWISE_TERMS = 8  # numpy sums fewer terms than this in order; from here on, pairwise
 
 
@@ -161,14 +163,17 @@ def _knn_radii(vectors: np.ndarray, k: int) -> np.ndarray:
     return radii
 
 
-def _coverage(radii: np.ndarray, gen_to_real: np.ndarray) -> float:
-    """Fraction of real columns with some generated row within their radius."""
-    return float((gen_to_real.min(axis=0) <= radii).mean())
-
-
-def _nearest_ids(gen_to_ref: np.ndarray, ref_ids: np.ndarray) -> np.ndarray:
-    """1-NN reference id of each generated row; the first minimum wins."""
-    return ref_ids[np.argmin(gen_to_ref, axis=1)]
+def _nearest(generated: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each generated row's nearest reference row (the first of
+    tied minima) and each reference row's distance to its nearest generated
+    row, from ``_ROW_BLOCK`` generated rows at a time."""
+    nearest = np.empty(len(generated), dtype=np.int64)
+    closest = np.full(len(reference), np.inf)
+    for start in range(0, len(generated), _ROW_BLOCK):
+        block = _distance_matrix(generated[start : start + _ROW_BLOCK], reference)
+        nearest[start : start + len(block)] = block.argmin(axis=1)
+        np.minimum(closest, block.min(axis=0), out=closest)
+    return nearest, closest
 
 
 def _irs(nearest_ids: np.ndarray, ref_ids: np.ndarray) -> float:
@@ -199,14 +204,14 @@ def coverage(real: FeatureSet, generated: FeatureSet, k: int = DEFAULT_K) -> flo
     """Fraction of real points whose k-NN-radius ball contains at least one
     generated point."""
     _require_nonempty(real, generated)
-    gen_to_real = _distance_matrix(generated.vectors, real.vectors)
-    return _coverage(_knn_radii(real.vectors, k), gen_to_real)
+    closest = _nearest(generated.vectors, real.vectors)[1]
+    return float((closest <= _knn_radii(real.vectors, k)).mean())
 
 
 def retrieval_ids(generated: FeatureSet, reference: FeatureSet) -> np.ndarray:
     """1-NN reference id for each generated vector (first minimum wins)."""
     _require_nonempty(generated, reference)
-    return _nearest_ids(_distance_matrix(generated.vectors, reference.vectors), reference.ids)
+    return reference.ids[_nearest(generated.vectors, reference.vectors)[0]]
 
 
 def irs(generated: FeatureSet, reference: FeatureSet) -> float:
@@ -326,23 +331,19 @@ def _classes_of(fset: FeatureSet) -> np.ndarray:
 
 
 def _row(
-    gen_train: np.ndarray,
-    gen_test: np.ndarray,
-    train: FeatureSet,
-    generated: FeatureSet,
-    test_ids: np.ndarray,
-    k: int,
+    generated: FeatureSet, train: FeatureSet, test: FeatureSet, k: int
 ) -> dict[str, float | None]:
-    """One report row, from the set's generated x train and x test matrices."""
+    """One report row, from the set's generated rows against its train and test rows."""
+    nearest, closest = _nearest(generated.vectors, train.vectors)
     row: dict[str, float | None] = {
-        "coverage": _coverage(_knn_radii(train.vectors, k), gen_train),
-        "irs_train": _irs(_nearest_ids(gen_train, train.ids), train.ids),
+        "coverage": float((closest <= _knn_radii(train.vectors, k)).mean()),
+        "irs_train": _irs(train.ids[nearest], train.ids),
         "irs_test": None,
         "irs_adjusted": None,
         "frechet": frechet_distance(train, generated) if len(generated) >= 2 else None,
     }
-    if len(test_ids) > 0:
-        row["irs_test"] = _irs(_nearest_ids(gen_test, test_ids), test_ids)
+    if len(test) > 0:
+        row["irs_test"] = _irs(test.ids[_nearest(generated.vectors, test.vectors)[0]], test.ids)
         row["irs_adjusted"] = adjusted_score(row["irs_test"], row["irs_train"])
     return row
 
@@ -367,30 +368,22 @@ def evaluate(
     train_cls = _classes_of(real_train)
     test_cls = _classes_of(real_test)
 
-    gen_train = _distance_matrix(generated.vectors, real_train.vectors)
-    gen_test = _distance_matrix(generated.vectors, real_test.vectors)
-
     report = MetricReport(
-        **_row(gen_train, gen_test, real_train, generated, real_test.ids, k),
+        **_row(generated, real_train, real_test, k),
         k=k,
         metadata={"distance": "euclidean", "coverage_reference": "train"},
     )
 
     all_classes = sorted(set(train_cls.tolist()) | set(gen_cls.tolist()) | set(test_cls.tolist()))
     for c in all_classes:
-        tr = np.flatnonzero(train_cls == c)
-        ge = np.flatnonzero(gen_cls == c)
-        te = np.flatnonzero(test_cls == c)
-        if len(tr) < k + 1:
-            report.skipped[c] = f"fewer than k+1={k + 1} train members ({len(tr)})"
+        train_c, gen_c = real_train.subset(train_cls == c), generated.subset(gen_cls == c)
+        if len(train_c) < k + 1:
+            report.skipped[c] = f"fewer than k+1={k + 1} train members ({len(train_c)})"
             continue
-        if len(ge) == 0:
+        if len(gen_c) == 0:
             report.skipped[c] = "no generated samples"
             continue
-        report.per_class[c] = _row(
-            gen_train[np.ix_(ge, tr)], gen_test[np.ix_(ge, te)],
-            real_train.subset(tr), generated.subset(ge), real_test.ids[te], k,
-        )
+        report.per_class[c] = _row(gen_c, train_c, real_test.subset(test_cls == c), k)
 
     for f in _FIELDS:
         values = [row[f] for row in report.per_class.values() if row[f] is not None]

@@ -324,18 +324,19 @@ def _backward(
     cache: dict,
     d_out: np.ndarray,
     backbone_grads: dict[str, np.ndarray] | None,
-) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, ...]]]:
+) -> dict[int, tuple[np.ndarray, ...]]:
     """Backpropagate ``d_out`` through one forward cache.
 
-    Accumulates backbone gradients into ``backbone_grads`` when given.
-    Returns ``(dh, factors)``: ``dh`` is the gradient at the input hidden
-    state, and ``factors[j] = (dh_l, z_l, dy_l, h_in_l)`` for the adapted
-    block l = ``placement[j]``. Row i's adapter gradients are the outer
-    products dW2 = dh_l[i] z_l[i]^T and dW1 = dy_l[i] h_in_l[i]^T.
+    Accumulates backbone gradients into ``backbone_grads`` when given;
+    without them the pass stops at the lowest adapted block, below which
+    nothing is read. Returns ``factors[j] = (dh_l, z_l, dy_l, h_in_l)`` for
+    the adapted block l = ``placement[j]``. Row i's adapter gradients are the
+    outer products dW2 = dh_l[i] z_l[i]^T and dW1 = dy_l[i] h_in_l[i]^T.
     """
     cfg = state.config
     p = state.backbone
     stack, slices = state.adapters, cache["slices"]
+    bottom = 0 if backbone_grads is not None or stack is None else min(stack.placement, default=0)
 
     h_last = cache["h"][-1]
     if backbone_grads is not None:
@@ -344,9 +345,20 @@ def _backward(
     dh = d_out @ p["w_out"]
 
     factors: dict[int, tuple[np.ndarray, ...]] = {}
-    for l in reversed(range(cfg.num_blocks)):
+    for l in reversed(range(bottom, cfg.num_blocks)):
         entry = cache["blocks"][l]
         h_in = cache["h"][l]
+        dh_ad = 0.0
+        if "y" in entry:
+            j = stack.placement.index(l)
+            _, act_grad = _ACTIVATIONS[stack.nonlinearity]
+            dz = _segment_matmul(dh, stack.w2[:, j], slices)
+            dy = dz * act_grad(entry["y"], entry["saved"])
+            factors[j] = (dh, entry["z"], dy, h_in)
+            if backbone_grads is None and l == bottom:
+                break
+            dh_ad = _segment_matmul(dy, stack.w1[:, j], slices)
+
         dg = dh @ p[f"block{l}.u"]
         da = dg * _gelu_grad(entry["a"], entry["cdf"])
         if backbone_grads is not None:
@@ -355,16 +367,6 @@ def _backward(
             backbone_grads[f"block{l}.v"] += da.T @ h_in
             backbone_grads[f"block{l}.c"] += da.sum(axis=0)
         dh_ff = da @ p[f"block{l}.v"]
-
-        dh_ad = 0.0
-        if "y" in entry:
-            j = stack.placement.index(l)
-            _, act_grad = _ACTIVATIONS[stack.nonlinearity]
-            dz = _segment_matmul(dh, stack.w2[:, j], slices)
-            dy = dz * act_grad(entry["y"], entry["saved"])
-            factors[j] = (dh, entry["z"], dy, h_in)
-            dh_ad = _segment_matmul(dy, stack.w1[:, j], slices)
-
         dh = dh + dh_ff + dh_ad
 
     if backbone_grads is not None:
@@ -372,7 +374,7 @@ def _backward(
         backbone_grads["b_in"] += dh.sum(axis=0)
         backbone_grads["w_time"] += dh.T @ cache["tau"]
         backbone_grads["w_cond"] += dh.T @ cache["C"]
-    return dh, factors
+    return factors
 
 
 def model_forward(
@@ -450,7 +452,7 @@ def flow_matching_loss(
     backbone_grads = None if state.frozen else {
         name: np.zeros_like(arr) for name, arr in state.backbone.items()
     }
-    _, factors = _backward(state, cache, d_pred, backbone_grads)
+    factors = _backward(state, cache, d_pred, backbone_grads)
     stack = state.adapters
     grad_w1 = None if stack is None else np.zeros_like(stack.w1)
     grad_w2 = None if stack is None else np.zeros_like(stack.w2)
@@ -558,7 +560,7 @@ def per_sample_probe_gradients(
         out, cache = _forward(state, x_t, np.full(n, t_val), cond, slices)
         # per-sample loss: mean over dimensions only
         d_out = 2.0 * (out - v_target) / state.config.data_dim
-        _, factors = _backward(state, cache, d_out, None)
+        factors = _backward(state, cache, d_out, None)
         offset = 0
         for j in range(len(state.adapters.placement)):
             dh, z, dy, h_in = factors[j]

@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailflow.config import (
@@ -182,11 +182,24 @@ def test_float_keys_accept_integers():
     ("adapter.placement = last:one", "adapter.placement: invalid literal for int"),
     ("adapter.placement = 0.5", "adapter.placement: invalid literal for int"),
     ("backbone.time_embed_dim = 3", r"backbone.time_embed_dim: must be even \(sin/cos"),
+    # the default chest-longtail train split: 2000 rows, the largest class 1217
+    ("metrics.k = 1217", "metrics.k: 1217 needs a train class of at least 1218 members; "
+                         "the largest has 1217"),
+    ("corpus.size = 200\nmetrics.k = 200", "metrics.k: 200 needs a train class of at least 201"),
+    ("corpus.profile = tail8\ncorpus.size = 1\nmetrics.k = 1", "metrics.k: 1 needs a train class"),
+    ("class.0.mean = 0.0\nclass.0.scale = 1.0\nclass.0.count = 5\n"
+     "class.1.mean = 1.0\nclass.1.scale = 1.0\nclass.1.count = 3",
+     "metrics.k: 5 needs a train class of at least 6 members; the largest has 5"),
 ])
 def test_load_rejects_bad_values(text, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_flat(parse_config_text(text))
 
+
+def test_metrics_k_loads_up_to_the_largest_train_class_minus_one():
+    assert ExperimentConfig.from_flat(parse_config_text("metrics.k = 1216")).metrics_k == 1216
+    text = "class.0.mean = 0.0\nclass.0.scale = 1.0\nclass.0.count = 5\nmetrics.k = 4"
+    assert ExperimentConfig.from_flat(parse_config_text(text)).metrics_k == 4
 
 def test_list_placement_loads_as_its_text_and_round_trips():
     # "0,1" parses as a list; the string key keeps it as text, not a repr
@@ -212,10 +225,10 @@ CLASS_KEYS = {"class.0.mean": "0.0,0.0", "class.0.scale": "0.5", "class.0.count"
 def test_explicit_class_keys_are_typed(key, raw, message):
     keys = dict(CLASS_KEYS, **{key: raw})
     text = "\n".join(f"{k} = {v}" for k, v in keys.items() if v is not None)
-    # an unknown profile name is fine when the classes are explicit
-    cfg = ExperimentConfig.from_flat(parse_config_text(text + "\ncorpus.profile = nope"))
+    # an unknown profile name is fine when the classes are explicit; the
+    # metrics.k check reads the class specs, so a bad key fails at load
     with pytest.raises(ValueError, match=message):
-        class_specs_from_config(cfg)
+        ExperimentConfig.from_flat(parse_config_text(text + "\ncorpus.profile = nope"))
 
 
 _CHOICES = {
@@ -249,7 +262,7 @@ def configs(draw):
     defaults = ExperimentConfig()
     values = {
         attr: draw(_values(key, getattr(defaults, attr)))
-        for key, attr in _KEYS.items() if key != "seeds"
+        for key, attr in _KEYS.items() if key not in ("seeds", "metrics.k")
     }
     values["train_quota"] = draw(st.integers(0, values["train_batch_size"]))
     values["backbone_time_embed_dim"] = 2 * draw(st.integers(1))  # sin/cos pairs: any even >= 2
@@ -261,7 +274,11 @@ def configs(draw):
         classes[f"class.{cid}.scale"] = draw(st.floats(0.0, 10.0, exclude_min=True))
         classes[f"class.{cid}.count"] = draw(st.integers(1, 10**6))
         classes[f"class.{cid}.healthy"] = draw(st.booleans())
-    return ExperimentConfig(**values, explicit_classes=classes)
+    cfg = ExperimentConfig(**values, explicit_classes=classes)
+    # metrics.k leaves k + 1 members in some class of the train split
+    largest = max(s.count for s in class_specs_from_config(replace(cfg, corpus_dimension=1)))
+    assume(largest >= 2)
+    return replace(cfg, metrics_k=draw(st.integers(1, largest - 1)))
 
 
 @settings(max_examples=80, deadline=None)

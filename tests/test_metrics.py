@@ -140,21 +140,50 @@ def test_column_distance_kernel_allocates_at_most_a_block(n, m, f_dim):
 
 def test_irs_train_takes_no_transposed_copy():
     # coarse points, so tied 1-NN distances abound; irs_train reads the row
-    # argmin of generated x train, where a transposed copy of the matrix
-    # would cost gen_train.nbytes
+    # argmin of generated x train blocks, where a transposed copy of the
+    # whole matrix would cost n_gen * n_train * 8 bytes
     rng = np.random.default_rng(22)
     train = fs(np.round(rng.standard_normal((600, 2)), 1), "train")
     gen = fs(np.round(rng.standard_normal((3000, 2)), 1), "generated")
-    gen_train = metrics_mod._distance_matrix(gen.vectors, train.vectors)
+    no_test = fs(np.empty((0, 2)), "test")
     tracemalloc.start()
     try:
-        row = metrics_mod._row(gen_train, np.empty((3000, 0)), train, gen,
-                               np.array([], dtype=np.int64), 3)
+        row = metrics_mod._row(gen, train, no_test, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < gen_train.nbytes / 2
+    assert peak < len(gen) * len(train) * 8 / 2
     assert row["irs_train"] == irs(gen, train)
+
+
+def test_evaluate_holds_no_generated_by_reference_matrix():
+    # generated rows pass through the kernel a block at a time, so the peak
+    # stays far below one n_gen x n_train float64 matrix
+    rng = np.random.default_rng(25)
+    n_gen = n_train = 3000
+    train = fs(rng.standard_normal((n_train, 2)), "train", classes=rng.integers(0, 3, n_train))
+    gen = fs(rng.standard_normal((n_gen, 2)), "generated", classes=rng.integers(0, 3, n_gen))
+    test = fs(rng.standard_normal((200, 2)), "test", classes=rng.integers(0, 3, 200))
+    tracemalloc.start()
+    try:
+        evaluate(gen, train, test, k=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_gen * n_train * 8 / 2
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_blocked_metrics_equal_brute_force_under_ties(block):
+    # a small grid of coarse points: duplicated rows and tied distances on
+    # both sides of every block edge; the first of tied minima still wins
+    rng = np.random.default_rng(26)
+    real = rng.integers(-2, 3, size=(23, 2)) * 0.5
+    gen = rng.integers(-2, 3, size=(17, 2)) * 0.5
+    with mock.patch.object(metrics_mod, "_ROW_BLOCK", block):
+        assert coverage(fs(real), fs(gen, "generated"), k=3) == coverage_brute(real, gen, 3)
+        assert list(retrieval_ids(fs(gen, "generated"), fs(real))) == retrieval_brute(gen, real)
+        assert irs(fs(gen, "generated"), fs(real)) == irs_brute(gen, real)
 
 
 def test_evaluate_holds_no_train_by_train_matrix():

@@ -126,8 +126,9 @@ class TestBackboneForward:
         t = 0.3
 
         out, cache = model_mod._forward(state, x[None, :], np.array([t]), c[None, :], [])
-        dh, _ = model_mod._backward(state, cache, w[None, :], None)
-        dx = dh @ state.backbone["w_in"]
+        grads = {name: np.zeros_like(arr) for name, arr in state.backbone.items()}
+        model_mod._backward(state, cache, w[None, :], grads)
+        dx = grads["b_in"] @ state.backbone["w_in"]  # one row: b_in's gradient is dh
         h = 1e-5
         worst = 0.0
         for i in range(cfg.data_dim):
@@ -135,9 +136,26 @@ class TestBackboneForward:
             xp[i] += h
             xm[i] -= h
             fd = (model_forward(state, xp, t, c)[0] @ w - model_forward(state, xm, t, c)[0] @ w) / (2 * h)
-            rel = abs(fd - dx[0, i]) / max(abs(fd), abs(dx[0, i]), 1e-12)
+            rel = abs(fd - dx[i]) / max(abs(fd), abs(dx[i]), 1e-12)
             worst = max(worst, rel)
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("placement", ["all", "0", "last:1"])
+    def test_backward_without_backbone_grads_stops_at_lowest_adapted_block(self, placement):
+        # the truncated pass skips what lies below the lowest adapted block;
+        # its factors equal those of the full pass bit for bit
+        state = small_state(placement=placement, blocks=3, zero_w2=False)
+        X, T, C = small_inputs(state, n=6)
+        slices = [(0, slice(0, 3)), (1, slice(3, 6))]
+        _, cache = model_mod._forward(state, X, T, C, slices)
+        d_out = rng_for(4, "d-out").standard_normal(X.shape)
+        grads = {name: np.zeros_like(arr) for name, arr in state.backbone.items()}
+        full = model_mod._backward(state, cache, d_out, grads)
+        truncated = model_mod._backward(state, cache, d_out, None)
+        assert sorted(truncated) == sorted(full) == list(range(len(state.adapters.placement)))
+        for j in full:
+            for a, b in zip(truncated[j], full[j]):
+                assert np.array_equal(a, b)
 
 
 class TestAdapterForward:
