@@ -144,6 +144,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:  # before --out is made
+            raise ValueError(f"--seed: must be >= 0, got {args.seed}")
         return args.fn(args)
     except Exception as exc:  # noqa: BLE001 - stage failures map to exit 2
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,13 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .datagen import ClassSpec, _scaled_counts, chest_longtail_specs, tail8_specs
+from .datagen import (
+    ClassSpec,
+    _scaled_counts,
+    _validate_specs,
+    chest_longtail_specs,
+    tail8_specs,
+)
 from .model import _ACTIVATIONS, _placement_blocks
 from .partition import _METHODS
 
@@ -207,6 +213,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        for seed in self.seeds:
+            if seed < 0:
+                raise ValueError(f"seeds: must be >= 0, got {seed}")
         for op, bound, keys in _BOUNDS:
             for key in keys:
                 value = getattr(self, _KEYS[key])
@@ -230,8 +239,12 @@ class ExperimentConfig:
             raise ValueError(f"adapter.nonlinearity: unknown {self.adapter_nonlinearity!r}")
         if not self.explicit_classes and self.corpus_profile not in _PROFILES:
             raise ValueError(f"corpus.profile: unknown profile {self.corpus_profile!r}")
-        # the counts do not depend on corpus.dimension, the length of every mean
-        largest = max(s.count for s in class_specs_from_config(replace(self, corpus_dimension=1)))
+        # at corpus.dimension 1: the counts do not depend on it, and a profile's means hold
+        # that many floats each
+        specs = class_specs_from_config(replace(self, corpus_dimension=1))
+        if self.explicit_classes:
+            _validate_specs(specs, self.corpus_dimension)
+        largest = max(s.count for s in specs)
         if largest < self.metrics_k + 1:
             raise ValueError(f"metrics.k: {self.metrics_k} needs a train class of at least "
                              f"{self.metrics_k + 1} members; the largest has {largest}")

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .records import read_records, write_records
-from .seeding import rng_for
+from .seeding import rng_for, rngs_for
 
 __all__ = [
     "ClassSpec",
@@ -82,14 +82,26 @@ class ClassSpec:
     is_healthy: bool = False
 
     def validate(self, dimension: int) -> None:
+        """Raise ValueError naming the bad field as a config key spells it."""
+        key = f"class.{self.class_id}"
         if self.count < 1:
-            raise ValueError(f"class {self.class_id}: count must be >= 1")
-        if self.scale <= 0:
-            raise ValueError(f"class {self.class_id}: scale must be > 0")
+            raise ValueError(f"{key}.count: must be >= 1, got {self.count}")
+        if not 0 < self.scale < math.inf:  # nan fails too
+            raise ValueError(f"{key}.scale: must be finite and > 0, got {self.scale!r}")
         if len(self.mean) != dimension:
-            raise ValueError(
-                f"class {self.class_id}: mean has dimension {len(self.mean)}, expected {dimension}"
-            )
+            raise ValueError(f"{key}.mean: {len(self.mean)} values for dimension {dimension}")
+        if not all(map(math.isfinite, self.mean)):
+            raise ValueError(f"{key}.mean: must be finite, got {self.mean!r}")
+
+
+def _validate_specs(specs: list[ClassSpec], dimension: int) -> None:
+    """Every class valid, and at most one of them healthy."""
+    healthy = [c.class_id for c in specs if c.is_healthy]
+    if len(healthy) > 1:
+        raise ValueError(f"class.{healthy[1]}.healthy: at most one class may be healthy, "
+                         f"and class {healthy[0]} is")
+    for c in specs:
+        c.validate(dimension)
 
 
 @dataclass
@@ -134,10 +146,7 @@ class Corpus:
         known = [c.class_id for c in self.classes]
         if len(set(known)) != len(known):
             raise ValueError("duplicate class ids in spec")
-        if sum(c.is_healthy for c in self.classes) > 1:
-            raise ValueError("at most one class may be healthy")
-        for c in self.classes:
-            c.validate(self.dimension)
+        _validate_specs(self.classes, self.dimension)
         unknown = np.flatnonzero(~np.isin(self.labels, known))
         if len(unknown):
             raise ValueError(f"sample {unknown[0]} has unknown class {self.labels[unknown[0]]}")
@@ -177,19 +186,19 @@ def text_embedding_surrogate(
     """Per-sample embedding: class unit vector plus Gaussian jitter.
 
     With noise_scale = 0 this equals the class label embedding exactly.
-    Deterministic per (sample_id, seed).
+    Deterministic per (sample_id, seed); ``generate_corpus`` gives sample
+    ``sample_id`` of the class exactly this row.
     """
-    return _jittered(_unit_class_vector(class_id, seed, dim), noise_scale, seed, sample_id)
+    _check_noise_scale(noise_scale)
+    base = _unit_class_vector(class_id, seed, dim)
+    if noise_scale == 0:
+        return base
+    return base + noise_scale * rng_for(seed, "embedding-jitter", sample_id).standard_normal(dim)
 
 
-def _jittered(base: np.ndarray, noise_scale: float, seed: int, sample_id: int) -> np.ndarray:
-    """A new array: ``base`` plus the sample's own Gaussian jitter stream."""
+def _check_noise_scale(noise_scale: float) -> None:
     if noise_scale < 0:
         raise ValueError(f"noise_scale must be >= 0, got {noise_scale}")
-    if noise_scale == 0:
-        return base.copy()
-    jitter = rng_for(seed, "embedding-jitter", sample_id).standard_normal(len(base))
-    return base + noise_scale * jitter
 
 
 def generate_corpus(
@@ -199,29 +208,40 @@ def generate_corpus(
     embedding_dim: int = DEFAULT_EMBEDDING_DIM,
     noise_scale: float = DEFAULT_NOISE_SCALE,
 ) -> Corpus:
-    """Draw a corpus from class blobs; bit-identical for fixed (spec, seed)."""
+    """Draw a corpus from class blobs; bit-identical for fixed (spec, seed).
+
+    Sample i's embedding is its class's unit vector plus ``noise_scale``
+    times the draws of its own stream ``rng_for(seed, "embedding-jitter", i)``;
+    the streams come from one batched derivation, one Generator at a time.
+    """
     if not spec:
         raise ValueError("empty class spec")
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
-    if sum(c.is_healthy for c in spec) > 1:
-        raise ValueError("at most one class may be healthy")
-    for c in spec:
-        c.validate(dimension)
+    _validate_specs(spec, dimension)
+    _check_noise_scale(noise_scale)
 
-    xs = []
-    embeddings = np.empty((sum(c.count for c in spec), embedding_dim))
+    n = sum(c.count for c in spec)
+    x = np.empty((n, dimension))
+    embeddings = np.empty((n, embedding_dim))
+    jitter = rngs_for(seed, "embedding-jitter", ids=range(n))
     start = 0
     for c in spec:
+        rows = slice(start, start + c.count)
         mean = np.asarray(c.mean, dtype=np.float64)
         draws = rng_for(seed, "class-draw", c.class_id).standard_normal((c.count, dimension))
-        xs.append(mean[None, :] + c.scale * draws)
+        x[rows] = mean[None, :] + c.scale * draws
         base = _unit_class_vector(c.class_id, seed, embedding_dim)
-        for sid in range(start, start + c.count):
-            embeddings[sid] = _jittered(base, noise_scale, seed, sid)
+        if noise_scale == 0:
+            embeddings[rows] = base
+        else:  # in place: * and + commute exactly, so these are base + noise_scale * draws
+            for row, rng in zip(embeddings[rows], jitter):
+                rng.standard_normal(out=row)
+            embeddings[rows] *= noise_scale
+            embeddings[rows] += base
         start += c.count
     corpus = Corpus(
-        x=np.concatenate(xs),
+        x=x,
         embeddings=embeddings,
         labels=np.repeat([c.class_id for c in spec], [c.count for c in spec]).astype(np.int64),
         classes=list(spec),

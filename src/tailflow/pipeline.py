@@ -304,9 +304,11 @@ def _run(ctx: RunContext, manifest: RunManifest, name: str) -> None:
 def _start(
     cfg: ExperimentConfig, out_dir: str | Path, seed: int | None
 ) -> tuple[RunContext, RunManifest]:
+    root = cfg.root_seed if seed is None else seed
+    if root < 0:  # before the output directory is made
+        raise ValueError(f"seed: must be >= 0, got {root}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    root = cfg.root_seed if seed is None else seed
     manifest = RunManifest(config_hash=cfg.hash(), root_seed=root, out_dir=str(out))
     return RunContext(cfg, out, root), manifest
 

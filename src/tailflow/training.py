@@ -45,7 +45,7 @@ from .partition import (
     _normalized_rows,
     single_partition,
 )
-from .seeding import derive_seed, rng_for
+from .seeding import derive_seed, derive_seeds, rng_for
 
 __all__ = [
     "TrainBatch",
@@ -252,8 +252,10 @@ def train(
     """SGD fine-tuning of the adapters over a frozen backbone.
 
     Deterministic per (corpus, partition, config, seed): final parameters,
-    ledger, and traces are bit-reproducible. Conflict traces are recorded
-    every ``trace_interval`` steps (0 disables them).
+    ledger, and traces are bit-reproducible. Step s draws its loss noise
+    under ``derive_seed(seed, "loss", s)``, derived a block of steps at a
+    time. Conflict traces are recorded every ``trace_interval`` steps (0
+    disables them).
     """
     if not state.frozen:
         raise ContractViolationError("train() requires a frozen backbone")
@@ -270,11 +272,9 @@ def train(
         )
 
     rng = rng_for(seed, "batches")
-    for step in range(steps):
+    for step, loss_seed in enumerate(derive_seeds(seed, "loss", ids=range(steps))):
         batch = assemble_batch(corpus, partition, batch_size, resample, quota, rng, ledger)
-        loss, grads = flow_matching_loss(
-            state, batch, seed=derive_seed(seed, "loss", step), cond_dropout=cond_dropout
-        )
+        loss, grads = flow_matching_loss(state, batch, seed=loss_seed, cond_dropout=cond_dropout)
         if not math.isfinite(loss):
             raise FloatingPointError(f"fine-tuning diverged: loss {loss!r} at step {step}")
         sgd_step(state, grads, lr)
@@ -299,17 +299,16 @@ def pretrain_backbone(
     cond_dropout: float = 0.1,
 ) -> ModelState:
     """Full (unfrozen, adapter-free) training of the backbone itself; the
-    result is frozen and serves as the pre-trained base for fine-tuning."""
+    result is frozen and serves as the pre-trained base for fine-tuning.
+    Per-step loss seeds as in ``train``."""
     if state.adapters is not None:
         raise ContractViolationError("pretraining runs without adapters")
     work = replace(state, backbone={k: v.copy() for k, v in state.backbone.items()}, frozen=False)
     part = single_partition(corpus)
     rng = rng_for(seed, "batches")
-    for step in range(steps):
+    for step, loss_seed in enumerate(derive_seeds(seed, "loss", ids=range(steps))):
         batch = assemble_batch(corpus, part, batch_size, False, 0, rng, None)
-        loss, grads = flow_matching_loss(
-            work, batch, seed=derive_seed(seed, "loss", step), cond_dropout=cond_dropout
-        )
+        loss, grads = flow_matching_loss(work, batch, seed=loss_seed, cond_dropout=cond_dropout)
         if not math.isfinite(loss):
             raise FloatingPointError(f"pretraining diverged: loss {loss!r} at step {step}")
         sgd_step(work, grads, lr)

@@ -158,6 +158,15 @@ def test_float_keys_accept_integers():
     assert cfg.train_lr == 1.0 and isinstance(cfg.train_lr, float)
 
 
+# two explicit 2-d classes, less a class.0 key that each row sets first;
+# class.1 alone leaves room for the default metrics.k
+def _two_classes(first: str) -> str:
+    keys = {"class.0.mean": "0.0,0.0", "class.0.scale": "1.0", "class.0.count": "9",
+            "class.1.mean": "4.0,0.0", "class.1.scale": "1.0", "class.1.count": "100"}
+    keys.pop(first.split(" =")[0], None)
+    return "\n".join([first, *(f"{k} = {v}" for k, v in keys.items())])
+
+
 @pytest.mark.parametrize("text, message", [
     ("train.lr = -1", "train.lr: must be > 0, got -1.0"),
     ("train.pretrain_lr = 0", "train.pretrain_lr: must be > 0, got 0.0"),
@@ -188,8 +197,22 @@ def test_float_keys_accept_integers():
     ("corpus.size = 200\nmetrics.k = 200", "metrics.k: 200 needs a train class of at least 201"),
     ("corpus.profile = tail8\ncorpus.size = 1\nmetrics.k = 1", "metrics.k: 1 needs a train class"),
     ("class.0.mean = 0.0\nclass.0.scale = 1.0\nclass.0.count = 5\n"
-     "class.1.mean = 1.0\nclass.1.scale = 1.0\nclass.1.count = 3",
+     "class.1.mean = 1.0\nclass.1.scale = 1.0\nclass.1.count = 3\ncorpus.dimension = 1",
      "metrics.k: 5 needs a train class of at least 6 members; the largest has 5"),
+    ("seeds = -1", "seeds: must be >= 0, got -1"),
+    ("seeds = 3,-2", "seeds: must be >= 0, got -2"),
+    (_two_classes("class.0.count = 0"), "class.0.count: must be >= 1, got 0"),
+    # alone, the class is named before metrics.k is checked against it
+    ("class.0.count = -5\nclass.0.mean = 0.0,0.0\nclass.0.scale = 1.0",
+     "class.0.count: must be >= 1, got -5"),
+    (_two_classes("class.0.scale = 0"), "class.0.scale: must be finite and > 0, got 0.0"),
+    (_two_classes("class.0.scale = nan"), "class.0.scale: must be finite and > 0, got nan"),
+    (_two_classes("class.0.scale = inf"), "class.0.scale: must be finite and > 0, got inf"),
+    (_two_classes("class.0.mean = inf,0.0"), r"class.0.mean: must be finite, got \(inf, 0.0\)"),
+    (_two_classes("class.0.mean = 0.0,0.0,1.0"), "class.0.mean: 3 values for dimension 2"),
+    (_two_classes("corpus.dimension = 3"), "class.0.mean: 2 values for dimension 3"),
+    (_two_classes("class.1.healthy = true\nclass.0.healthy = true"),
+     "class.1.healthy: at most one class may be healthy, and class 0 is"),
 ])
 def test_load_rejects_bad_values(text, message):
     with pytest.raises(ValueError, match=message):
@@ -198,7 +221,8 @@ def test_load_rejects_bad_values(text, message):
 
 def test_metrics_k_loads_up_to_the_largest_train_class_minus_one():
     assert ExperimentConfig.from_flat(parse_config_text("metrics.k = 1216")).metrics_k == 1216
-    text = "class.0.mean = 0.0\nclass.0.scale = 1.0\nclass.0.count = 5\nmetrics.k = 4"
+    text = ("class.0.mean = 0.0\nclass.0.scale = 1.0\nclass.0.count = 5\nmetrics.k = 4\n"
+            "corpus.dimension = 1")
     assert ExperimentConfig.from_flat(parse_config_text(text)).metrics_k == 4
 
 def test_list_placement_loads_as_its_text_and_round_trips():
@@ -266,14 +290,21 @@ def configs(draw):
     }
     values["train_quota"] = draw(st.integers(0, values["train_batch_size"]))
     values["backbone_time_embed_dim"] = 2 * draw(st.integers(1))  # sin/cos pairs: any even >= 2
-    values["seeds"] = draw(st.lists(st.integers(-(2**63), 2**63), min_size=1, max_size=3))
+    values["seeds"] = draw(st.lists(st.integers(0, 2**63), min_size=1, max_size=3))
     classes = {}
-    for cid in draw(st.sets(st.integers(0, 20), max_size=3)):
+    cids = draw(st.sets(st.integers(0, 20), max_size=3))
+    if cids:  # every mean holds corpus.dimension values, and at most one class is healthy
+        values["corpus_dimension"] = draw(st.integers(1, 3))
+        healthy = draw(st.sampled_from([None, *sorted(cids)]))
+    for cid in cids:
         # a one-dimensional mean parses as a scalar, a longer one as a list
-        classes[f"class.{cid}.mean"] = draw(_FINITE | st.lists(_FINITE, min_size=2, max_size=3))
+        dimension = values["corpus_dimension"]
+        mean = _FINITE if dimension == 1 else st.lists(_FINITE, min_size=dimension,
+                                                        max_size=dimension)
+        classes[f"class.{cid}.mean"] = draw(mean)
         classes[f"class.{cid}.scale"] = draw(st.floats(0.0, 10.0, exclude_min=True))
         classes[f"class.{cid}.count"] = draw(st.integers(1, 10**6))
-        classes[f"class.{cid}.healthy"] = draw(st.booleans())
+        classes[f"class.{cid}.healthy"] = cid == healthy
     cfg = ExperimentConfig(**values, explicit_classes=classes)
     # metrics.k leaves k + 1 members in some class of the train split
     largest = max(s.count for s in class_specs_from_config(replace(cfg, corpus_dimension=1)))

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tailflow.seeding as seeding
 from tailflow.datagen import (
     CHEST_LONGTAIL_COUNTS,
     ClassSpec,
@@ -218,3 +220,25 @@ def test_load_corpus_rejects_bad_records(tmp_path, edit, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=message):
         load_corpus(path)
+
+
+def test_generate_corpus_holds_one_jitter_stream_at_a_time():
+    # the conflicts-6k corpus: 6,000 samples; a list of all their Generators
+    # would add about 3 MB
+    spec = chest_longtail_specs(6000)
+    tracemalloc.start()
+    try:
+        corpus = generate_corpus(spec, 2, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = corpus.x.nbytes + corpus.embeddings.nbytes + corpus.labels.nbytes
+    assert peak < outputs + 2**20, (peak, outputs)
+
+
+def test_corpus_embeddings_equal_the_surrogate_across_block_edges(monkeypatch):
+    monkeypatch.setattr(seeding, "BLOCK", 7)  # edges inside classes and between them
+    corpus = generate_corpus(tail8_specs(80), 2, seed=9, noise_scale=0.1)
+    for sid, cid in enumerate(corpus.class_ids().tolist()):
+        expected = text_embedding_surrogate(sid, cid, 0.1, 9, corpus.embedding_dim)
+        assert np.array_equal(corpus.embedding_matrix()[sid], expected)

@@ -266,6 +266,25 @@ class TestCli:
         assert main(["generate"]) == 1  # missing required flags
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, config_line, message", [
+        (["pipeline", "--seed", "-3"], "", "error: --seed: must be >= 0, got -3"),
+        (["generate", "--seed", "-3"], "", "error: --seed: must be >= 0, got -3"),
+        (["analyze-conflicts", "--seed", "-3"], "", "error: --seed: must be >= 0, got -3"),
+        (["pipeline"], "seeds = -1", "error: seeds: must be >= 0, got -1"),
+    ])
+    def test_negative_seeds_fail_at_load(self, tmp_path, capsys, argv, config_line, message):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMOKE_TEXT.replace("seeds = 42", config_line))
+        out = tmp_path / "run"
+        assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_pipeline_rejects_a_negative_seed_before_making_out(self, tmp_path):
+        with pytest.raises(ValueError, match="seed: must be >= 0, got -3"):
+            run_pipeline(SMOKE, tmp_path / "run", seed=-3)
+        assert not (tmp_path / "run").exists()
+
     def test_stage_failure_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(SMOKE_TEXT)

@@ -1,7 +1,11 @@
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
 
+import tailflow.seeding as seeding
 import tailflow.training as training
 from oracles import mean_pairwise_conflict_brute
 
@@ -13,7 +17,7 @@ from tailflow.partition import (
     random_partition,
     single_partition,
 )
-from tailflow.seeding import rng_for
+from tailflow.seeding import derive_seed, rng_for
 from tailflow.training import (
     UtilizationLedger,
     assemble_batch,
@@ -161,6 +165,30 @@ class TestTrain:
                              resample=True, lr=0.05, seed=4)
         assert led_on.gap() < led_off.gap()
 
+    def test_step_seeds_come_block_by_block_as_derive_seed_gives_them(
+        self, corpus, partition, monkeypatch
+    ):
+        # 10 steps in blocks of 3: three whole blocks and a partial one
+        monkeypatch.setattr(seeding, "BLOCK", 3)
+        state = make_state(corpus)
+        out, ledger, _ = train(state, corpus, partition, steps=10, batch_size=8,
+                               resample=True, lr=0.05, seed=7)
+        ref = replace(state, adapters=copy.deepcopy(state.adapters))
+        ref_ledger = UtilizationLedger.empty(partition.num_experts)
+        rng = rng_for(7, "batches")
+        for step in range(10):
+            batch = assemble_batch(corpus, partition, 8, True, 3, rng, ref_ledger)
+            _, grads = training.flow_matching_loss(
+                ref, batch, seed=derive_seed(7, "loss", step), cond_dropout=0.1
+            )
+            training.sgd_step(ref, grads, 0.05)
+            ref_ledger.add(batch.experts)
+        assert np.array_equal(out.adapters.w1, ref.adapters.w1)
+        assert np.array_equal(out.adapters.w2, ref.adapters.w2)
+        assert (ledger.per_expert_counts, ledger.total) == (
+            ref_ledger.per_expert_counts, ref_ledger.total
+        )
+
     def test_requires_frozen_backbone_and_adapters(self, corpus, partition):
         state = make_state(corpus)
         state.frozen = False
@@ -180,6 +208,22 @@ class TestPretrain:
         assert any(not np.array_equal(before[k], out.backbone[k]) for k in before)
         # the input state is untouched
         assert all(np.array_equal(before[k], state.backbone[k]) for k in before)
+
+    def test_step_seeds_come_block_by_block_as_derive_seed_gives_them(self, corpus, monkeypatch):
+        monkeypatch.setattr(seeding, "BLOCK", 4)
+        state = ModelState(config=BB, backbone=init_backbone(BB, 9), adapters=None, frozen=False)
+        out = pretrain_backbone(state, corpus, steps=9, batch_size=8, lr=0.01, seed=2)
+        ref = replace(state, backbone={k: v.copy() for k, v in state.backbone.items()})
+        part = single_partition(corpus)
+        rng = rng_for(2, "batches")
+        for step in range(9):
+            batch = assemble_batch(corpus, part, 8, False, 0, rng, None)
+            _, grads = training.flow_matching_loss(
+                ref, batch, seed=derive_seed(2, "loss", step), cond_dropout=0.1
+            )
+            training.sgd_step(ref, grads, 0.01)
+        for k in state.backbone:
+            assert np.array_equal(out.backbone[k], ref.backbone[k])
 
     def test_rejects_adapters(self, corpus):
         state = make_state(corpus)
