@@ -15,10 +15,11 @@ so a freshly adapted model reproduces the frozen backbone bit for bit.
 
 Training uses the rectified flow objective: x_t = (1-t) x0 + t x1 with
 velocity target x1 - x0 and squared error loss. ``sample_batch`` is the one
-sampler: it integrates the learned velocity field with Euler steps from
-t = 0 to t = 1, optionally blending conditional and unconditional
-predictions (v = v_u + s (v_c - v_u)); scales 0 and 1 collapse exactly to
-the pure unconditional / conditional trajectories.
+sampler and holds its whole Euler loop, x <- x + dt v from seeded noise at
+t = 0 to t = 1. At guidance scale s, v = v_u + s (v_c - v_u) from two n-row
+forwards, unconditional (zero conditioning) and conditional; one 2n-row
+forward would round differently. Scales 1 and 0 run only the conditional or
+only the unconditional forward, so they give those trajectories bit for bit.
 
 All adapters live in two stacked arrays: ``AdapterStack.w1`` has shape
 (K, P, r, d) and ``w2`` (K, P, d, r), for K experts, the P adapted blocks in
@@ -475,40 +476,6 @@ def sgd_step(state: ModelState, grads: LossGradients, lr: float) -> None:
             state.backbone[name] -= lr * g
 
 
-def _euler_integrate(
-    x: np.ndarray,
-    steps: int,
-    velocity: Callable[[np.ndarray, float], np.ndarray],
-) -> np.ndarray:
-    dt = 1.0 / steps
-    for i in range(steps):
-        t = i / steps
-        x = x + dt * velocity(x, t)
-    return x
-
-
-def _velocity_fn(
-    state: ModelState, cond: np.ndarray, slices: Slices, guidance_scale: float
-) -> Callable[[np.ndarray, float], np.ndarray]:
-    null = np.zeros_like(cond)
-
-    def v(x, t, c):
-        n = len(x)
-        return _forward(state, x, np.full(n, t), np.tile(c, (n, 1)), slices)[0]
-
-    # scales 0 and 1 must collapse exactly, not just up to rounding
-    if guidance_scale == 1.0:
-        return lambda x, t: v(x, t, cond)
-    if guidance_scale == 0.0:
-        return lambda x, t: v(x, t, null)
-
-    def blended(x, t):
-        vu = v(x, t, null)
-        return vu + guidance_scale * (v(x, t, cond) - vu)
-
-    return blended
-
-
 def sample_batch(
     state: ModelState,
     cond: np.ndarray,
@@ -528,8 +495,20 @@ def sample_batch(
         raise ValueError(f"cond shape {cond.shape}, expected ({state.config.cond_dim},)")
     # every row goes to one expert: a single slice, already in order
     _, slices = _route(state, None if expert_id is None else np.full(count, expert_id), count)
-    x0 = rng_for(seed, "sample-noise").standard_normal((count, state.config.data_dim))
-    return _euler_integrate(x0, steps, _velocity_fn(state, cond, slices, guidance_scale))
+    x = rng_for(seed, "sample-noise").standard_normal((count, state.config.data_dim))
+    null, c = np.zeros((count, len(cond))), np.tile(cond, (count, 1))
+    dt = 1.0 / steps
+    for i in range(steps):
+        t = np.full(count, i / steps)
+        # scales 0 and 1 must collapse exactly, not just up to rounding: one forward each
+        if guidance_scale == 1.0:
+            v = _forward(state, x, t, c, slices)[0]
+        else:
+            v = vu = _forward(state, x, t, null, slices)[0]
+            if guidance_scale != 0.0:
+                v = vu + guidance_scale * (_forward(state, x, t, c, slices)[0] - vu)
+        x = x + dt * v
+    return x
 
 
 def per_sample_probe_gradients(
@@ -605,29 +584,45 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelState:
-    with np.load(Path(path)) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta["format_version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['format_version']}")
-        config = BackboneConfig(**meta["config"])
-        backbone = {
-            name[len("backbone/") :]: data[name] for name in data.files if name.startswith("backbone/")
-        }
-        adapters = None
-        if meta["adapters"] is not None:
-            am = meta["adapters"]
-            num_experts, placement = am["num_experts"], tuple(am["placement"])
+    """The state ``save_checkpoint`` wrote. A ``ValueError`` naming the file
+    refuses an invalid config, backbone arrays whose names or shapes are not
+    those ``init_backbone`` makes for that config, and missing or misshapen
+    adapter slots."""
+    path = Path(path)
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            if meta["format_version"] != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {meta['format_version']}")
+            config = BackboneConfig(**meta["config"])
+            expected = init_backbone(config, 0)  # runs config.validate()
+            backbone = {name[len("backbone/") :]: data[name]
+                        for name in data.files if name.startswith("backbone/")}
+            for name in sorted(backbone.keys() | expected.keys()):
+                if name not in backbone:
+                    raise ValueError(f"array 'backbone/{name}' is missing")
+                if name not in expected:
+                    raise ValueError(f"array 'backbone/{name}' is not in this config")
+                if backbone[name].shape != expected[name].shape:
+                    raise ValueError(f"array 'backbone/{name}' has shape {backbone[name].shape}, "
+                                     f"expected {expected[name].shape}")
+            adapters = None
+            if meta["adapters"] is not None:
+                am = meta["adapters"]
+                num_experts, placement = am["num_experts"], tuple(am["placement"])
 
-            def stacked(name: str, dims: tuple[int, int]) -> np.ndarray:
-                slots = [data[f"adapter/{k}/{l}/{name}"]
-                         for k in range(num_experts) for l in placement]
-                if any(a.shape != dims for a in slots):
-                    raise ValueError(f"checkpoint adapter {name}: expected shape {dims}")
-                return np.array(slots).reshape((num_experts, len(placement)) + dims)
+                def stacked(name: str, dims: tuple[int, int]) -> np.ndarray:
+                    slots = [data[f"adapter/{k}/{l}/{name}"]
+                             for k in range(num_experts) for l in placement]
+                    if any(a.shape != dims for a in slots):
+                        raise ValueError(f"checkpoint adapter {name}: expected shape {dims}")
+                    return np.array(slots).reshape((num_experts, len(placement)) + dims)
 
-            r, d = am["adapter_dim"], config.hidden_dim
-            adapters = AdapterStack(
-                placement, am["nonlinearity"], stacked("w1", (r, d)), stacked("w2", (d, r))
-            )
-            adapters.validate(config)
+                r, d = am["adapter_dim"], config.hidden_dim
+                adapters = AdapterStack(
+                    placement, am["nonlinearity"], stacked("w1", (r, d)), stacked("w2", (d, r))
+                )
+                adapters.validate(config)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return ModelState(config=config, backbone=backbone, adapters=adapters, frozen=meta["frozen"])

@@ -5,8 +5,11 @@
     <id> <int> <float> ...    one record per line; the id is the row index
 
 Floats are written with ``repr`` (shortest round trip), so a text round trip
-is lossless. ``read_records`` rejects any file ``write_records`` could not
-have written, naming the file and, for a record fault, the line.
+is lossless. ``read_records`` rejects, naming the file and, for a record
+fault, the line: a wrong kind, version or width, a missing header key, ids
+that are not the row index, non-finite floats, and three token forms that
+``int()`` and ``float()`` take but the writer never writes (non-ASCII
+digits, ``_``, a ``+`` that does not follow ``e``).
 """
 
 from __future__ import annotations
@@ -64,6 +67,10 @@ def read_records(
         ints, floats = np.empty(n, dtype=np.int64), np.empty((n, size))
         for row, line in enumerate(lines[start:]):
             where = f"{path}: line {start + row + 1}"
+            # int() and float() also take non-ASCII digits, '_' and a leading '+'
+            if not line.isascii() or "_" in line or "+" in line and "+" in line.replace("e+", ""):
+                raise ValueError("token not in the written form: non-ASCII, '_' or a '+' "
+                                 "not after 'e'")
             fields = line.split()
             if len(fields) != 2 + size:
                 raise ValueError(f"{len(fields)} fields, expected {2 + size}")

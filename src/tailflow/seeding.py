@@ -50,6 +50,8 @@ def _label_word(label: str | int) -> int:
         if label < 0:
             raise ValueError(f"negative label {label}")
         return int(label)
+    if not isinstance(label, str):
+        raise TypeError(f"label {label!r} is neither an int nor a str")
     return _str_word(label)
 
 

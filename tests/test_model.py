@@ -424,14 +424,22 @@ class TestSgd:
         assert not np.array_equal(before, state.backbone["w_out"])
 
 
-def euler_loop(state, c, expert_id, steps, seed):
-    """Reference trajectory: explicit Euler over model_forward at conditioning c."""
-    x0 = rng_for(seed, "sample-noise").standard_normal((1, state.config.data_dim))
-    return euler_reference(
-        lambda x, t: model_forward(state, x, np.full(len(x), t), np.tile(c, (len(x), 1)),
-                                   np.full(len(x), expert_id)),
-        x0, steps,
-    )
+def euler_loop(state, c, expert_id, steps, seed, scale=1.0, count=1):
+    """Reference trajectory: explicit Euler over model_forward at conditioning
+    c (scale 1), at zeros (scale 0), or blended vu + s (vc - vu) otherwise."""
+    x0 = rng_for(seed, "sample-noise").standard_normal((count, state.config.data_dim))
+    experts = None if expert_id is None else np.full(count, expert_id)
+
+    def v(x, t, cond):
+        return model_forward(state, x, np.full(count, t), np.tile(cond, (count, 1)), experts)
+
+    def velocity(x, t):
+        if scale == 1.0:
+            return v(x, t, c)
+        vu = v(x, t, np.zeros_like(c))
+        return vu if scale == 0.0 else vu + scale * (v(x, t, c) - vu)
+
+    return euler_reference(velocity, x0, steps)
 
 
 class TestSampling:
@@ -447,6 +455,20 @@ class TestSampling:
         cond = rng_for(5, "cond").standard_normal(4)
         got = sample_batch(state, cond, 0, guidance_scale=0.0, steps=6, count=1, seed=9)
         ref = euler_loop(state, np.zeros(4), 0, steps=6, seed=9)
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("adapted", [True, False], ids=["expert1", "bare"])
+    def test_guided_trajectories_match_the_oracle(self, scale, adapted):
+        # several rows over several steps: every blended step, not only the first
+        state = small_state(zero_w2=False)
+        expert_id = 1 if adapted else None
+        if not adapted:
+            state = bare(state)
+        cond = rng_for(7, "cond").standard_normal(4)
+        got = sample_batch(state, cond, expert_id, scale, steps=6, count=3, seed=11)
+        ref = euler_loop(state, cond, expert_id, steps=6, seed=11, scale=scale, count=3)
+        assert got.shape == (3, 3)
         assert np.array_equal(got, ref)
 
     def test_single_euler_step_oracle(self):
@@ -526,6 +548,28 @@ def test_checkpoint_round_trip(tmp_path):
     experts = np.array([0, 1])
     assert np.array_equal(model_forward(state, X, T, C, experts),
                           model_forward(loaded, X, T, C, experts))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda arrays: arrays.pop("backbone/block1.v"), "array 'backbone/block1.v' is missing"),
+    (lambda arrays: arrays.update({"backbone/block9.v": np.zeros((16, 8))}),
+     "array 'backbone/block9.v' is not in this config"),
+    # (1,) broadcasts against (ff,) and (data_dim,): the forward would run on it
+    (lambda arrays: arrays.update({"backbone/block0.c": np.zeros(1)}),
+     r"array 'backbone/block0.c' has shape \(1,\), expected \(16,\)"),
+    (lambda arrays: arrays.update({"backbone/b_out": np.zeros(1)}),
+     r"array 'backbone/b_out' has shape \(1,\), expected \(3,\)"),
+], ids=["missing", "extra", "broadcast-c", "broadcast-b_out"])
+def test_malformed_checkpoint_is_refused_at_load(tmp_path, edit, message):
+    path = tmp_path / "model.npz"
+    save_checkpoint(small_state(), path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    edit(arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=message) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_stacked_weights_equal_per_slot_draws():

@@ -54,6 +54,17 @@ FAULTS = [
     ("id column", ALL, 3, lambda f: ["3.0", *f[1:]], "invalid literal for int", True),
     ("float column", WITH_FLOATS, 0, lambda f: [*f[:2], "1.0.0", *f[3:]],
      "could not convert string to float", True),
+    ("underscore in a float", WITH_FLOATS, 0, lambda f: [*f[:2], "1_0.5", *f[3:]],
+     "token not in the written form", True),
+    ("plus-signed float", WITH_FLOATS, 2, lambda f: [*f[:-1], "+" + f[-1]],
+     "token not in the written form", True),
+    ("underscore in an id", ALL, 0, lambda f: ["0_0", *f[1:]], "token not in the written form",
+     True),
+    ("plus-signed id", ALL, 0, lambda f: ["+0", *f[1:]], "token not in the written form", True),
+    ("non-ASCII digit id", ALL, 0, lambda f: ["\u0660", *f[1:]], "token not in the written form",
+     True),
+    ("plus-signed integer column", ALL, 1, lambda f: [f[0], "+" + f[1], *f[2:]],
+     "token not in the written form", True),
     ("nan", WITH_FLOATS, 0, lambda f: [*f[:2], "nan", *f[3:]], "non-finite value", True),
     ("inf", WITH_FLOATS, 5, lambda f: [*f[:-1], "-inf"], "non-finite value", True),
     ("id gap", ALL, 0, lambda f: ["1", *f[1:]], "sample ids must be dense from 0 in order", True),

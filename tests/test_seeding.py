@@ -39,6 +39,14 @@ def test_int_labels_bypass_the_cache_and_bad_labels_raise():
         _label_word(-1)
     with pytest.raises(TypeError, match="bool labels are ambiguous"):
         _label_word(True)
+    for bad in (2.5, np.bool_(True), None, b"loss"):
+        with pytest.raises(TypeError, match=f"label {bad!r} is neither an int nor a str"):
+            rng_for(1, bad)
+        with pytest.raises(TypeError, match=f"label {bad!r} is neither an int nor a str"):
+            derive_seed(1, "loss", bad)
+        for batched in (rngs_for, derive_seeds):
+            with pytest.raises(TypeError, match=f"label {bad!r} is neither an int nor a str"):
+                list(batched(1, "loss", ids=[0, bad]))
 
 
 def test_streams_equal_the_uncached_derivation():
