@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -74,7 +74,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 Slices = list[tuple[int, slice]]  # (k, rows) per routed expert, see _route
 
@@ -118,8 +118,9 @@ class BackboneConfig:
 
     def validate(self) -> None:
         for name in ("data_dim", "hidden_dim", "num_blocks", "cond_dim", "time_embed_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.time_embed_dim % 2 != 0:
             raise ValueError("time_embed_dim must be even (sin/cos pairs)")
 
@@ -146,11 +147,14 @@ class AdapterStack:
     def validate(self, config: BackboneConfig) -> None:
         if self.nonlinearity not in _ACTIVATIONS:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
+        if self.placement != resolve_placement(config.num_blocks, self.placement):
+            raise ValueError(f"placement {self.placement} is not sorted distinct blocks")
         P, d = len(self.placement), config.hidden_dim
         if self.w1.ndim != 4 or self.w1.shape[1:] != (P, self.adapter_dim, d):
-            raise ValueError(f"bad w1 shape {self.w1.shape}")
-        if self.w2.shape != (self.num_experts, P, d, self.adapter_dim):
-            raise ValueError(f"bad w2 shape {self.w2.shape}")
+            raise ValueError(f"bad w1 shape {self.w1.shape}, expected (K, {P}, r, {d})")
+        expected = (self.num_experts, P, d, self.adapter_dim)
+        if self.w2.shape != expected:
+            raise ValueError(f"bad w2 shape {self.w2.shape}, expected {expected}")
 
     def parameter_count(self) -> int:
         return self.w1.size + self.w2.size
@@ -551,50 +555,35 @@ def per_sample_probe_gradients(
 
 
 def save_checkpoint(state: ModelState, path: str | Path) -> None:
-    path = Path(path)
+    stack = state.adapters
     meta = {
         "format_version": CHECKPOINT_VERSION,
-        "config": {
-            "data_dim": state.config.data_dim,
-            "hidden_dim": state.config.hidden_dim,
-            "num_blocks": state.config.num_blocks,
-            "cond_dim": state.config.cond_dim,
-            "time_embed_dim": state.config.time_embed_dim,
-        },
+        "config": asdict(state.config),
         "frozen": state.frozen,
-        "adapters": None
-        if state.adapters is None
-        else {
-            "num_experts": state.adapters.num_experts,
-            "adapter_dim": state.adapters.adapter_dim,
-            "placement": list(state.adapters.placement),
-            "nonlinearity": state.adapters.nonlinearity,
-        },
+        "adapters": None if stack is None
+        else {"placement": list(stack.placement), "nonlinearity": stack.nonlinearity},
     }
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
     for name, arr in state.backbone.items():
         arrays[f"backbone/{name}"] = arr
-    if state.adapters is not None:
-        for k in range(state.adapters.num_experts):
-            for j, l in enumerate(state.adapters.placement):
-                arrays[f"adapter/{k}/{l}/w1"] = state.adapters.w1[k, j]
-                arrays[f"adapter/{k}/{l}/w2"] = state.adapters.w2[k, j]
+    if stack is not None:
+        arrays.update({"adapter/w1": stack.w1, "adapter/w2": stack.w2})
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
 def load_checkpoint(path: str | Path) -> ModelState:
     """The state ``save_checkpoint`` wrote. A ``ValueError`` naming the file
-    refuses an invalid config, backbone arrays whose names or shapes are not
-    those ``init_backbone`` makes for that config, and missing or misshapen
-    adapter slots."""
+    refuses another format version, an invalid config, backbone arrays whose
+    names or shapes are not those ``init_backbone`` makes for that config,
+    and adapters that ``AdapterStack.validate`` refuses."""
     path = Path(path)
     try:
         with np.load(path) as data:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
             if meta["format_version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {meta['format_version']}")
-            config = BackboneConfig(**meta["config"])
+            config = BackboneConfig(**meta["config"])  # TypeError on an unknown field
             expected = init_backbone(config, 0)  # runs config.validate()
             backbone = {name[len("backbone/") :]: data[name]
                         for name in data.files if name.startswith("backbone/")}
@@ -609,20 +598,9 @@ def load_checkpoint(path: str | Path) -> ModelState:
             adapters = None
             if meta["adapters"] is not None:
                 am = meta["adapters"]
-                num_experts, placement = am["num_experts"], tuple(am["placement"])
-
-                def stacked(name: str, dims: tuple[int, int]) -> np.ndarray:
-                    slots = [data[f"adapter/{k}/{l}/{name}"]
-                             for k in range(num_experts) for l in placement]
-                    if any(a.shape != dims for a in slots):
-                        raise ValueError(f"checkpoint adapter {name}: expected shape {dims}")
-                    return np.array(slots).reshape((num_experts, len(placement)) + dims)
-
-                r, d = am["adapter_dim"], config.hidden_dim
-                adapters = AdapterStack(
-                    placement, am["nonlinearity"], stacked("w1", (r, d)), stacked("w2", (d, r))
-                )
+                adapters = AdapterStack(tuple(am["placement"]), am["nonlinearity"],
+                                        data["adapter/w1"], data["adapter/w2"])
                 adapters.validate(config)
-    except (KeyError, ValueError) as exc:
+            return ModelState(config, backbone, adapters, frozen=meta["frozen"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return ModelState(config=config, backbone=backbone, adapters=adapters, frozen=meta["frozen"])

@@ -7,18 +7,21 @@
 Floats are written with ``repr`` (shortest round trip), so a text round trip
 is lossless. ``read_records`` rejects, naming the file and, for a record
 fault, the line: a wrong kind, version or width, a missing header key, ids
-that are not the row index, non-finite floats, and three token forms that
-``int()`` and ``float()`` take but the writer never writes (non-ASCII
-digits, ``_``, a ``+`` that does not follow ``e``).
+that are not the row index, non-finite floats, and the token forms that
+``int()`` and ``float()`` take but the writer never writes: non-ASCII
+digits, ``_``, a ``+`` that does not follow ``e``, an uppercase exponent
+(``2.0E0``) and leading zeros (``01``, ``02.0``).
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
 
 RECORDS_VERSION = 1
+_LEADING_ZERO = re.compile(r" -?0[0-9]")  # searched in " " + line
 
 
 def write_records(
@@ -67,10 +70,12 @@ def read_records(
         ints, floats = np.empty(n, dtype=np.int64), np.empty((n, size))
         for row, line in enumerate(lines[start:]):
             where = f"{path}: line {start + row + 1}"
-            # int() and float() also take non-ASCII digits, '_' and a leading '+'
-            if not line.isascii() or "_" in line or "+" in line and "+" in line.replace("e+", ""):
-                raise ValueError("token not in the written form: non-ASCII, '_' or a '+' "
-                                 "not after 'e'")
+            # int() and float() also take non-ASCII digits, '_', a leading '+', 'E'
+            # and leading zeros ('01', '02.0'; not 'e-05'); 'Inf' and 'NaN' fail as non-finite
+            if (not line.isascii() or "_" in line or "+" in line and "+" in line.replace("e+", "")
+                    or "E" in line or _LEADING_ZERO.search(" " + line)):
+                raise ValueError("token not in the written form: non-ASCII, '_', a '+' not "
+                                 "after 'e', 'E' or a leading zero")
             fields = line.split()
             if len(fields) != 2 + size:
                 raise ValueError(f"{len(fields)} fields, expected {2 + size}")

@@ -261,6 +261,29 @@ class TestCli:
         assert str(edited / "manifest.json") in err and "metrics.json" in err
         assert not (tmp_path / "cmp").exists()
 
+    @pytest.mark.parametrize("change, reason", [
+        (lambda meta: meta.update(format_version=1), "unsupported checkpoint version 1"),
+        (lambda meta: meta["adapters"].update(placement=[0, 5]), "placement (0, 5)"),
+        (lambda meta: meta["config"].update(foo=1), "unexpected keyword argument 'foo'"),
+    ], ids=["version-1", "placement", "config-field"])
+    def test_sample_stage_refuses_a_malformed_checkpoint(self, smoke_run, tmp_path, capsys,
+                                                         change, reason):
+        out, _, _ = smoke_run
+        edited = tmp_path / "edited"
+        shutil.copytree(out, edited)
+        path = edited / "checkpoint.npz"
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        change(meta)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(path, **arrays)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMOKE_TEXT)
+        assert main(["sample", "--config", str(cfg_path), "--out", str(edited)]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'sample' failed" in err and f"{path}: " in err and reason in err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["not-a-command"]) == 1
         assert main(["generate"]) == 1  # missing required flags

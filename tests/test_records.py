@@ -65,6 +65,15 @@ FAULTS = [
      True),
     ("plus-signed integer column", ALL, 1, lambda f: [f[0], "+" + f[1], *f[2:]],
      "token not in the written form", True),
+    ("leading-zero id", ALL, 1, lambda f: ["01", *f[1:]], "token not in the written form", True),
+    ("leading-zero integer column", ALL, 0, lambda f: [f[0], "0" + f[1], *f[2:]],
+     "token not in the written form", True),
+    ("leading-zero mantissa", WITH_FLOATS, 0, lambda f: [*f[:2], "02.0", *f[3:]],
+     "token not in the written form", True),
+    ("negative leading-zero mantissa", WITH_FLOATS, 3, lambda f: [*f[:-1], "-00.5"],
+     "token not in the written form", True),
+    ("uppercase exponent", WITH_FLOATS, 0, lambda f: [*f[:2], "2.0E0", *f[3:]],
+     "token not in the written form", True),
     ("nan", WITH_FLOATS, 0, lambda f: [*f[:2], "nan", *f[3:]], "non-finite value", True),
     ("inf", WITH_FLOATS, 5, lambda f: [*f[:-1], "-inf"], "non-finite value", True),
     ("id gap", ALL, 0, lambda f: ["1", *f[1:]], "sample ids must be dense from 0 in order", True),
@@ -117,6 +126,17 @@ def test_the_writer_refuses_non_finite_floats(tmp_path):
         save_samples(path, vectors, np.zeros(4, dtype=np.int64))
     assert str(path) in str(info.value)
     assert not path.exists()
+
+
+def test_written_exponents_and_signs_load(tmp_path):
+    # repr writes zero-padded exponents ('1e-05') and '-0.0'; the token check takes them
+    vectors = np.array([[1e-05, -1e-05], [1e16, 5e-324], [-0.0, 0.5]])
+    path = tmp_path / "generated.txt"
+    save_samples(path, vectors, np.array([0, -10, 10]))
+    assert "1e-05 -1e-05" in path.read_text() and "1e+16" in path.read_text()
+    loaded = load_features(path, tag="generated")
+    assert loaded.vectors.tobytes() == vectors.tobytes()
+    assert loaded.classes.tolist() == [0, -10, 10]
 
 
 def test_the_three_kinds_share_one_layout(tmp_path):
