@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import read_records, write_records
+from .records import check_header, read_records, write_records
 from .seeding import rng_for, rngs_for
 
 __all__ = [
@@ -326,19 +326,23 @@ def blob_specs(
     ]
 
 
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
+def _corpus_header(corpus: Corpus) -> list[tuple[str, object]]:
     header = [
         ("dimension", corpus.dimension),
         ("embedding_dim", corpus.embedding_dim),
-        ("noise_scale", repr(corpus.noise_scale)),
+        ("noise_scale", repr(float(corpus.noise_scale))),
         ("seed", corpus.seed),
     ]
     for c in corpus.classes:
-        mean = ",".join(repr(m) for m in c.mean)
-        spec = f"{c.class_id} count={c.count} scale={c.scale!r} healthy={int(c.is_healthy)}"
+        mean = ",".join(repr(float(m)) for m in c.mean)
+        spec = f"{c.class_id} count={c.count} scale={float(c.scale)!r} healthy={int(c.is_healthy)}"
         header.append(("class", f"{spec} mean={mean}"))
+    return header
+
+
+def save_corpus(corpus: Corpus, path: str | Path) -> None:
     rows = np.hstack([corpus.x, corpus.embeddings])
-    write_records(path, CORPUS_FORMAT, header, corpus.labels, rows)
+    write_records(path, CORPUS_FORMAT, _corpus_header(corpus), corpus.labels, rows)
 
 
 def _class_spec(value: str) -> ClassSpec:
@@ -377,4 +381,5 @@ def load_corpus(path: str | Path) -> Corpus:
         corpus.validate()
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    check_header(path, header, _corpus_header(corpus))
     return corpus

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientDataError, UndefinedMetricError
-from .records import read_records, write_records
+from .records import check_header, read_records, write_records
 
 __all__ = [
     "FeatureSet",
@@ -391,13 +391,18 @@ def evaluate(
     return report
 
 
+def _samples_header(vectors: np.ndarray) -> list[tuple[str, object]]:
+    return [("dimension", vectors.shape[1])]
+
+
 def save_samples(path: str | Path, vectors: np.ndarray, class_ids: np.ndarray) -> None:
     """Write generated vectors as records: class id, then the vector."""
     vectors = np.asarray(vectors, dtype=np.float64)
-    write_records(path, SAMPLES_FORMAT, [("dimension", vectors.shape[1])], class_ids, vectors)
+    write_records(path, SAMPLES_FORMAT, _samples_header(vectors), class_ids, vectors)
 
 
 def load_features(path: str | Path, tag: str) -> FeatureSet:
     """Read a samples file as a feature set, with its class column."""
-    _, classes, vectors = read_records(path, SAMPLES_FORMAT, ("dimension",))
+    header, classes, vectors = read_records(path, SAMPLES_FORMAT, ("dimension",))
+    check_header(path, header, _samples_header(vectors))
     return FeatureSet(vectors=vectors, ids=np.arange(len(vectors)), tag=tag, classes=classes)

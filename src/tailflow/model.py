@@ -147,11 +147,15 @@ class AdapterStack:
     def validate(self, config: BackboneConfig) -> None:
         if self.nonlinearity not in _ACTIVATIONS:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
+        if any(type(block) is not int for block in self.placement):
+            raise ValueError(f"placement {self.placement} holds a block that is not an int")
         if self.placement != resolve_placement(config.num_blocks, self.placement):
             raise ValueError(f"placement {self.placement} is not sorted distinct blocks")
         P, d = len(self.placement), config.hidden_dim
         if self.w1.ndim != 4 or self.w1.shape[1:] != (P, self.adapter_dim, d):
             raise ValueError(f"bad w1 shape {self.w1.shape}, expected (K, {P}, r, {d})")
+        if self.num_experts < 1 or self.adapter_dim < 1:
+            raise ValueError("num_experts and adapter_dim must be positive")
         expected = (self.num_experts, P, d, self.adapter_dim)
         if self.w2.shape != expected:
             raise ValueError(f"bad w2 shape {self.w2.shape}, expected {expected}")
@@ -236,8 +240,6 @@ def init_adapters(
     seed: int = 0,
 ) -> AdapterStack:
     """Zero-init up-projections: a fresh stack is an exact identity add-on."""
-    if num_experts < 1 or adapter_dim < 1:
-        raise ValueError("num_experts and adapter_dim must be positive")
     blocks = resolve_placement(config.num_blocks, placement)
     d = config.hidden_dim
     w1 = np.empty((num_experts, len(blocks), adapter_dim, d))
@@ -554,7 +556,7 @@ def per_sample_probe_gradients(
     return total / len(t_draws)
 
 
-def save_checkpoint(state: ModelState, path: str | Path) -> None:
+def _checkpoint_arrays(state: ModelState) -> dict[str, np.ndarray]:
     stack = state.adapters
     meta = {
         "format_version": CHECKPOINT_VERSION,
@@ -564,43 +566,47 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
         else {"placement": list(stack.placement), "nonlinearity": stack.nonlinearity},
     }
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
-    for name, arr in state.backbone.items():
-        arrays[f"backbone/{name}"] = arr
+    arrays.update({f"backbone/{name}": arr for name, arr in state.backbone.items()})
     if stack is not None:
         arrays.update({"adapter/w1": stack.w1, "adapter/w2": stack.w2})
+    return arrays
+
+
+def save_checkpoint(state: ModelState, path: str | Path) -> None:
     with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(fh, **_checkpoint_arrays(state))
 
 
 def load_checkpoint(path: str | Path) -> ModelState:
-    """The state ``save_checkpoint`` wrote. A ``ValueError`` naming the file
-    refuses another format version, an invalid config, backbone arrays whose
-    names or shapes are not those ``init_backbone`` makes for that config,
-    and adapters that ``AdapterStack.validate`` refuses."""
-    path = Path(path)
+    """The state ``save_checkpoint`` wrote, if writing that state gives back the
+    ``meta`` blob byte for byte and float64 arrays of the writer's names and shapes,
+    and ``AdapterStack.validate`` takes its adapters; else a ``ValueError`` naming the file."""
     try:
         with np.load(path) as data:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
             if meta["format_version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {meta['format_version']}")
             config = BackboneConfig(**meta["config"])  # TypeError on an unknown field
-            expected = init_backbone(config, 0)  # runs config.validate()
-            backbone = {name[len("backbone/") :]: data[name]
-                        for name in data.files if name.startswith("backbone/")}
-            for name in sorted(backbone.keys() | expected.keys()):
-                if name not in backbone:
-                    raise ValueError(f"array 'backbone/{name}' is missing")
-                if name not in expected:
-                    raise ValueError(f"array 'backbone/{name}' is not in this config")
-                if backbone[name].shape != expected[name].shape:
-                    raise ValueError(f"array 'backbone/{name}' has shape {backbone[name].shape}, "
-                                     f"expected {expected[name].shape}")
-            adapters = None
+            state = ModelState(config, init_backbone(config, 0), frozen=bool(meta["frozen"]))
             if meta["adapters"] is not None:
                 am = meta["adapters"]
-                adapters = AdapterStack(tuple(am["placement"]), am["nonlinearity"],
-                                        data["adapter/w1"], data["adapter/w2"])
-                adapters.validate(config)
-            return ModelState(config, backbone, adapters, frozen=meta["frozen"])
+                state.adapters = AdapterStack(tuple(am["placement"]), am["nonlinearity"],
+                                              data["adapter/w1"], data["adapter/w2"])
+                state.adapters.validate(config)
+            written = _checkpoint_arrays(state)
+            for name in sorted(written.keys() ^ set(data.files)):
+                raise ValueError(f"array {name!r} is "
+                                 + ("missing" if name in written else "not in this config"))
+            if data["meta"].tobytes() != written["meta"].tobytes():
+                raise ValueError(f"meta is not in the written form {bytes(written['meta'])!r}")
+            for name, want in written.items():
+                got = data[name]
+                if name != "meta" and got.dtype != np.float64:
+                    raise ValueError(f"array {name!r} has dtype {got.dtype}, expected float64")
+                if got.shape != want.shape:
+                    raise ValueError(f"array {name!r} has shape {got.shape}, "
+                                     f"expected {want.shape}")
+            state.backbone = {name: data[f"backbone/{name}"] for name in state.backbone}
+            return state
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -34,7 +34,7 @@ import numpy as np
 
 from .datagen import Corpus
 from .errors import DegenerateInputError, InsufficientDataError
-from .records import read_records, write_records
+from .records import check_header, read_records, write_records
 from .seeding import rng_for
 
 __all__ = [
@@ -406,9 +406,12 @@ def composition_report(partition: Partition, corpus: Corpus) -> dict:
     return report
 
 
+def _partition_header(partition: Partition) -> list[tuple[str, object]]:
+    return [("method", partition.method), ("experts", partition.num_experts)]
+
+
 def save_partition(partition: Partition, path: str | Path) -> None:
-    header = [("method", partition.method), ("experts", partition.num_experts)]
-    write_records(path, PARTITION_FORMAT, header, partition.assignments)
+    write_records(path, PARTITION_FORMAT, _partition_header(partition), partition.assignments)
 
 
 def load_partition(path: str | Path, corpus: Corpus) -> Partition:
@@ -417,6 +420,8 @@ def load_partition(path: str | Path, corpus: Corpus) -> Partition:
         raise ValueError(f"{path}: {len(assignments)} records for a corpus of {len(corpus)}")
     meta = dict(header)
     try:
-        return _build(corpus, assignments, int(meta["experts"]), meta["method"])
+        partition = _build(corpus, assignments, int(meta["experts"]), meta["method"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    check_header(path, header, _partition_header(partition))
+    return partition

@@ -585,9 +585,32 @@ def edit_meta(change):
     (edit_meta(lambda meta: meta["config"].update(foo=1)), "unexpected keyword argument 'foo'"),
     (edit_meta(lambda meta: meta["config"].update(hidden_dim="8")),
      "hidden_dim must be a positive integer, got '8'"),
+    # forms that save_checkpoint never writes: the file loads only if writing
+    # the loaded state gives back its meta blob, array names and dtypes
+    (lambda arrays: arrays.update({name: arr.astype(np.float32) for name, arr in arrays.items()
+                                   if name.startswith("backbone/")}),
+     "has dtype float32, expected float64"),
+    (lambda arrays: arrays.update({"adapter/w1": arrays["adapter/w1"].astype(np.int64)}),
+     "array 'adapter/w1' has dtype int64, expected float64"),
+    (lambda arrays: arrays.update({"junk": np.zeros(2)}), "array 'junk' is not in this config"),
+    (edit_meta(lambda meta: meta.update(format_version=2.0)), "meta is not in the written form"),
+    (edit_meta(lambda meta: meta.update(note="hi")), "meta is not in the written form"),
+    (edit_meta(lambda meta: meta.update(frozen="no")), "meta is not in the written form"),
+    (edit_meta(lambda meta: meta["adapters"].update(rank=6)), "meta is not in the written form"),
+    # stacks whose meta and arrays do round-trip, refused by AdapterStack.validate
+    (lambda arrays: arrays.update({"adapter/w1": np.zeros((0, 2, 6, 8)),
+                                   "adapter/w2": np.zeros((0, 2, 8, 6))}),
+     "num_experts and adapter_dim must be positive"),
+    (lambda arrays: arrays.update({"adapter/w1": np.zeros((2, 2, 0, 8)),
+                                   "adapter/w2": np.zeros((2, 2, 8, 0))}),
+     "num_experts and adapter_dim must be positive"),
+    (edit_meta(lambda meta: meta["adapters"].update(placement=[0.0, 1])),
+     r"placement \(0.0, 1\) holds a block that is not an int"),
 ], ids=["missing", "extra", "broadcast-c", "broadcast-b_out", "version-1", "placement-past-blocks",
         "placement-repeated", "placement-unsorted", "missing-w1", "w2-disagrees", "w1-blocks",
-        "config-unknown-field", "config-string-value"])
+        "config-unknown-field", "config-string-value", "backbone-float32", "w1-int64",
+        "extra-array", "version-float", "meta-extra-key", "frozen-string", "adapters-extra-key",
+        "zero-experts", "zero-width", "placement-float"])
 def test_malformed_checkpoint_is_refused_at_load(tmp_path, edit, message):
     path = tmp_path / "model.npz"
     save_checkpoint(small_state(), path)
@@ -598,6 +621,13 @@ def test_malformed_checkpoint_is_refused_at_load(tmp_path, edit, message):
     with pytest.raises(ValueError, match=message) as info:
         load_checkpoint(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+def test_init_adapters_refuses_an_empty_stack():
+    cfg = BackboneConfig(data_dim=2, hidden_dim=8, num_blocks=2, cond_dim=4, time_embed_dim=4)
+    for experts, width in ((0, 4), (2, 0)):
+        with pytest.raises(ValueError, match="num_experts and adapter_dim must be positive"):
+            init_adapters(cfg, experts, width)
 
 
 def test_stacked_weights_equal_per_slot_draws():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tailflow.datagen import generate_corpus, load_corpus, save_corpus, tail8_specs
+from tailflow.datagen import ClassSpec, generate_corpus, load_corpus, save_corpus, tail8_specs
 from tailflow.metrics import load_features, save_samples
 from tailflow.partition import Partition, label_tier_partition, load_partition, save_partition
 
@@ -47,6 +47,25 @@ FAULTS = [
      "invalid literal for int", False),
     ("class line without a count", ("corpus",), None, _replace_first(" count=", " tally="),
      "class 0: missing count=", False),
+    # headers the writer never writes: a loader compares the header it read
+    # with the one its writer builds for the loaded object
+    ("healthy flag 2", ("corpus",), None, _replace_first("healthy=1", "healthy=2"),
+     "is not in the written form", False),
+    ("unknown class field", ("corpus",), None, _replace_first(" count=", " foo=bar count="),
+     "is not in the written form", False),
+    ("leading-zero width", WITH_FLOATS, None, _replace_first("# dimension 2", "# dimension 02"),
+     "is not in the written form", False),
+    ("unknown header key", ALL, None, lambda lines: lines[:2] + ["# colour red"] + lines[2:],
+     "is not in the written form", False),
+    ("noise scale in another float form", ("corpus",), None,
+     _replace_first("# noise_scale 0.05", "# noise_scale 5e-2"), "is not in the written form",
+     False),
+    ("leading-zero expert count", ("partition",), None,
+     _replace_first("# experts 4", "# experts 04"), "is not in the written form", False),
+    ("tab after a header's #", WITH_FLOATS, None, _replace_first("# dimension", "#\tdimension"),
+     "missing header key 'dimension'", False),
+    ("CRLF line ends", ALL, None, lambda lines: [line + "\r" for line in lines],
+     "not a tailflow-", False),
     ("extra column", ALL, 0, lambda f: f + ["0"], "fields, expected", True),
     ("short record", ALL, 2, lambda f: f[:-1], "fields, expected", True),
     ("blank line", ALL, 1, lambda f: [], "0 fields, expected", True),
@@ -73,6 +92,21 @@ FAULTS = [
     ("negative leading-zero mantissa", WITH_FLOATS, 3, lambda f: [*f[:-1], "-00.5"],
      "token not in the written form", True),
     ("uppercase exponent", WITH_FLOATS, 0, lambda f: [*f[:2], "2.0E0", *f[3:]],
+     "token not in the written form", True),
+    # forms that int() and float() take but the writer never writes: the line
+    # must equal the one the writer makes from its parsed values
+    ("tab separator", ALL, 1, lambda f: [f[0] + "\t" + f[1], *f[2:]],
+     "token not in the written form", True),
+    ("doubled space", ALL, 2, lambda f: [f[0] + " ", *f[1:]], "token not in the written form",
+     True),
+    ("trailing space", ALL, 0, lambda f: [*f, ""], "token not in the written form", True),
+    ("float without a leading digit", WITH_FLOATS, 0, lambda f: [*f[:2], ".5", *f[3:]],
+     "token not in the written form", True),
+    ("float with a trailing zero", WITH_FLOATS, 1, lambda f: [*f[:2], "0.50", *f[3:]],
+     "token not in the written form", True),
+    ("exponent the writer would not use", WITH_FLOATS, 0, lambda f: [*f[:2], "5e-1", *f[3:]],
+     "token not in the written form", True),
+    ("float without a fraction digit", WITH_FLOATS, 3, lambda f: [*f[:-1], "1."],
      "token not in the written form", True),
     ("nan", WITH_FLOATS, 0, lambda f: [*f[:2], "nan", *f[3:]], "non-finite value", True),
     ("inf", WITH_FLOATS, 5, lambda f: [*f[:-1], "-inf"], "non-finite value", True),
@@ -149,6 +183,27 @@ def test_the_three_kinds_share_one_layout(tmp_path):
     # a corpus record is the samples record with the embedding row appended
     for sample, record in zip(samples[2:], records, strict=True):
         assert record.startswith(sample + " ")
+
+
+@settings(max_examples=30, deadline=None)
+@given(means=st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=4,
+                      unique=True),
+       scale=st.integers(1, 3), noise=st.integers(0, 2), seed=st.integers(0, 2**16))
+def test_corpus_from_int_valued_specs_round_trip_property(means, scale, noise, seed):
+    # the writer renders mean, scale and noise_scale as floats, so an int-valued
+    # spec is written in the form the loader's header check expects
+    specs = [ClassSpec(i, mean, scale, 3, i == 0) for i, mean in enumerate(means)]
+    corpus = generate_corpus(specs, 2, seed, noise_scale=noise)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "corpus.txt", Path(tmp) / "again.txt"
+        save_corpus(corpus, path)
+        loaded = load_corpus(path)
+        save_corpus(loaded, again)
+        assert again.read_text() == path.read_text()  # the header and every record
+    for name in ("x", "embeddings", "labels"):
+        assert getattr(loaded, name).tobytes() == getattr(corpus, name).tobytes()
+    assert loaded.classes == corpus.classes
+    assert (loaded.noise_scale, loaded.seed) == (noise, seed)
 
 
 @settings(max_examples=40, deadline=None)
