@@ -147,6 +147,9 @@ class Corpus:
         if len(set(known)) != len(known):
             raise ValueError("duplicate class ids in spec")
         _validate_specs(self.classes, self.dimension)
+        _check_noise_scale(self.noise_scale)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         unknown = np.flatnonzero(~np.isin(self.labels, known))
         if len(unknown):
             raise ValueError(f"sample {unknown[0]} has unknown class {self.labels[unknown[0]]}")
@@ -197,8 +200,8 @@ def text_embedding_surrogate(
 
 
 def _check_noise_scale(noise_scale: float) -> None:
-    if noise_scale < 0:
-        raise ValueError(f"noise_scale must be >= 0, got {noise_scale}")
+    if not 0 <= noise_scale < math.inf:  # NaN too
+        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
 
 
 def generate_corpus(

@@ -13,19 +13,21 @@ the kernel adds the squared differences one column at a time, in that
 order; from 8 on, numpy sums pairwise, so the kernel keeps the broadcast
 sum there. At desk scale the "features" are the data vectors themselves.
 
-``evaluate`` holds no generated x reference matrix. ``_nearest`` passes
-``_ROW_BLOCK`` generated rows at a time through the kernel and keeps the
-first argmin of each generated row, which both retrieval scores read, and
-a running minimum down each reference column, which coverage reads. The
-k-NN radii come from the train rows, a block of them at a time against the
-whole set with the block's own diagonal set to inf. Each per-class row
-computes its own blocks from the class's rows. Each value is exact:
-``(a - b)**2`` equals ``(b - a)**2``, a kernel entry does not depend on the
-other rows, neither a minimum nor a k-th smallest value depends on the
-order of its inputs, and each argmin still runs along a whole generated
-row, so the first of tied minima wins. The public metric functions and
-``evaluate`` share one implementation of each metric. Samples files use
-the record layout of ``records.py``.
+``evaluate`` holds no generated x reference matrix. Every pairwise scan
+here, and the seed-pair scan of ``partition.py``, takes as many rows per
+block as ``_SCAN_BYTES`` (1 MiB) holds, so its memory does not grow with
+the row count. ``_nearest`` passes a block of generated rows at a time
+through the kernel and keeps the first argmin of each generated row, which
+both retrieval scores read, and a running minimum down each reference
+column, which coverage reads. The k-NN radii come from the train rows, a
+block of them at a time against the whole set with the block's own
+diagonal set to inf. Each per-class row computes its own blocks from the
+class's rows. Each value is exact: ``(a - b)**2`` equals ``(b - a)**2``, a
+kernel entry does not depend on the other rows, neither a minimum nor a
+k-th smallest value depends on the order of its inputs, and each argmin
+still runs along a whole generated row, so the first of tied minima wins.
+The public metric functions and ``evaluate`` share one implementation of
+each metric. Samples files use the record layout of ``records.py``.
 """
 
 from __future__ import annotations
@@ -103,41 +105,54 @@ def _require_nonempty(*sets: FeatureSet) -> None:
             raise InsufficientDataError(f"empty {s.tag} feature set")
 
 
-_ROW_BLOCK = 256  # rows per block of _distance_matrix, _knn_radii and _nearest
+_SCAN_BYTES = 1 << 20  # bytes of one block of a pairwise scan: half of a core's 2 MiB L2
 _PAIRWISE_TERMS = 8  # numpy sums fewer terms than this in order; from here on, pairwise
 
 
+def _block_rows(row_bytes: int) -> int:
+    """Rows per block of a scan whose rows take ``row_bytes`` bytes each: as
+    many as ``_SCAN_BYTES`` holds, and at least one, whatever the row count;
+    rows against an empty set take no bytes and form one block."""
+    return max(1, _SCAN_BYTES // max(row_bytes, 1))
+
+
 def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of ``a`` and ``b``, built a block
+    """Euclidean distances between the rows of ``a`` and ``b``, built a step
     of rows of ``a`` at a time; the values do not depend on the blocking.
 
-    Below ``_PAIRWISE_TERMS`` features a block is a quarter of
-    ``_ROW_BLOCK`` rows, and the squared differences are added into it one
-    column at a time: the order in which a sum over the F axis adds them, so
-    each entry equals that sum bit for bit. One scratch array holds a
-    column's term; with numpy's broadcast buffers, which take up to twice
-    the term, it stays within one ``_ROW_BLOCK`` x m array. From 8 features
-    on, numpy's pairwise sum keeps 8 partial sums, an order the column loop
-    does not reproduce, so those widths keep the broadcast sum over the
-    contiguous F axis."""
+    A step is the rows whose squared differences over max(F, 8) features
+    fill ``_SCAN_BYTES``. From ``_PAIRWISE_TERMS`` features on, that is the
+    broadcast temporary, summed over the contiguous F axis: numpy's pairwise
+    sum keeps 8 partial sums there, an order a column loop does not
+    reproduce. Below 8 features the squared differences are added into the
+    step one column at a time: the order in which a sum over the F axis adds
+    them, so each entry equals that sum bit for bit. A column's differences
+    are the step filled with ``a``'s column, minus ``b``'s column as a
+    contiguous row; numpy passes one operand of that through its iterator
+    buffer, where ``subtract.outer`` passes both. One scratch array, an
+    eighth of the budget, holds a column's term, so the step's output and
+    term stay in cache together and the kernel's scratch, numpy's buffer
+    included, stays within a quarter of the budget."""
     width = a.shape[1]
     if b.shape[1] != width:
         raise ValueError(f"feature widths differ: {width} and {b.shape[1]}")
     out = np.empty((len(a), len(b)))
     by_column = 0 < width < _PAIRWISE_TERMS
-    step = max(_ROW_BLOCK // 4, 1) if by_column else _ROW_BLOCK
-    term = np.empty((min(step, len(a)), len(b))) if by_column else None
+    step = _block_rows(8 * len(b) * max(width, _PAIRWISE_TERMS))
+    if by_column:
+        columns = np.ascontiguousarray(b.T)
+        term = np.empty((min(step, len(a)), len(b))) if width > 1 else None
     for start in range(0, len(a), step):
         rows = slice(start, start + step)
         block = out[rows]
         if by_column:
-            np.subtract.outer(a[rows, 0], b[:, 0], out=block)
-            block *= block
-            for f in range(1, width):
-                part = term[: len(block)]
-                np.subtract.outer(a[rows, f], b[:, f], out=part)
+            for f in range(width):
+                part = term[: len(block)] if f else block
+                part[...] = a[rows, f, None]
+                part -= columns[f]
                 part *= part
-                block += part
+                if f:
+                    block += part
         else:
             diff = a[rows, None, :] - b[None, :, :]
             diff *= diff
@@ -147,32 +162,36 @@ def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _knn_radii(vectors: np.ndarray, k: int) -> np.ndarray:
-    """Distance from each row to its k-th nearest other row, ``_ROW_BLOCK``
-    rows at a time, with the block's own diagonal set to inf."""
+    """Distance from each row to its k-th nearest other row, a block of rows
+    at a time, with the block's own diagonal set to inf."""
     n = len(vectors)
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < k + 1:
         raise InsufficientDataError(f"need at least {k + 1} points for k = {k}, have {n}")
     radii = np.empty(n)
-    for start in range(0, n, _ROW_BLOCK):
-        block = _distance_matrix(vectors[start : start + _ROW_BLOCK], vectors)
+    step = _block_rows(8 * n)
+    for start in range(0, n, step):
+        block = _distance_matrix(vectors[start : start + step], vectors)
         np.fill_diagonal(block[:, start:], np.inf)
         block.partition(k - 1, axis=1)
         radii[start : start + len(block)] = block[:, k - 1]
+        del block  # freed before the next block is allocated: one block live at a time
     return radii
 
 
 def _nearest(generated: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The index of each generated row's nearest reference row (the first of
     tied minima) and each reference row's distance to its nearest generated
-    row, from ``_ROW_BLOCK`` generated rows at a time."""
+    row, from a block of generated rows at a time."""
     nearest = np.empty(len(generated), dtype=np.int64)
     closest = np.full(len(reference), np.inf)
-    for start in range(0, len(generated), _ROW_BLOCK):
-        block = _distance_matrix(generated[start : start + _ROW_BLOCK], reference)
+    step = _block_rows(8 * len(reference))
+    for start in range(0, len(generated), step):
+        block = _distance_matrix(generated[start : start + step], reference)
         nearest[start : start + len(block)] = block.argmin(axis=1)
         np.minimum(closest, block.min(axis=0), out=closest)
+        del block  # freed before the next block is allocated: one block live at a time
     return nearest, closest
 
 

@@ -19,9 +19,9 @@ Conflict is computed in closed form, with no m x m Gram matrix: for unit
 rows u_1..u_m the mean pairwise conflict is
 1 - (|sum u_i|^2 - sum |u_i|^2) / (m (m - 1)), as for the concept vectors of
 spherical k-means, so scoring, the objective and the peel step cost O(m E).
-Only the 2-means seed pair needs every pair; it is scanned in blocks of
-``_PAIR_BLOCK`` rows, so bisecting k-means holds O(N E + _PAIR_BLOCK N)
-memory.
+Only the 2-means seed pair needs every pair; it is scanned a block of rows
+at a time, each block at most ``metrics._SCAN_BYTES`` (1 MiB), so bisecting
+k-means holds O(N E) memory plus one block.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 
 from .datagen import Corpus
 from .errors import DegenerateInputError, InsufficientDataError
+from .metrics import _block_rows
 from .records import check_header, read_records, write_records
 from .seeding import rng_for
 
@@ -249,16 +250,14 @@ def label_tier_partition(corpus: Corpus, num_experts: int = 4) -> Partition:
     return _build(corpus, assignments, num_experts, METHOD_LABEL_TIER)
 
 
-_PAIR_BLOCK = 256  # rows per block of the seed-pair scan: a block x n working set
-
-
 def _max_conflict_pair(unit: np.ndarray) -> tuple[int, int]:
     """Indices i < j of the most-conflicting pair of rows; first occurrence
     in row-major order wins (lowest i, then lowest j)."""
     n = unit.shape[0]
     best, best_i, best_j = -np.inf, 0, 1
-    for start in range(0, n - 1, _PAIR_BLOCK):
-        stop = min(start + _PAIR_BLOCK, n)
+    step = _block_rows(8 * n)
+    for start in range(0, n - 1, step):
+        stop = min(start + step, n)
         conf = unit[start:stop] @ unit[start:].T
         np.subtract(1.0, conf, out=conf)
         # j <= i lies in the block's leading square only

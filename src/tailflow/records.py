@@ -50,7 +50,12 @@ def read_records(
     of a record file. ``width`` names the header keys whose integer values
     add up to the floats per record; ``keys`` names further header keys the
     file must carry."""
-    lines = Path(path).read_bytes().decode().removesuffix("\n").split("\n")
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode().removesuffix("\n").split("\n")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8: {exc.reason}") from exc
     first = f"# {kind} {RECORDS_VERSION}"
     if lines[0] != first:
         raise ValueError(f"{path}: not a {kind} file: the first line is not {first!r}")

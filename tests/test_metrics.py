@@ -51,11 +51,12 @@ class TestKnnRadius:
         assert knn_radius(np.array([2.0]), points, k=1) == 1.0
 
     def test_accelerated_equals_brute_force_exactly(self):
-        # across the radii's row blocks and on both sides of the kernel's
-        # 8-feature switch; duplicated rows give tied and zero distances, and
-        # a run of 12 equal rows across a block boundary gives zero radii
+        # across the radii's row blocks (a budget of 256 rows) and on both
+        # sides of the kernel's 8-feature switch; duplicated rows give tied
+        # and zero distances, and a run of 12 equal rows across a block
+        # boundary gives zero radii
         rng = np.random.default_rng(0)
-        block = metrics_mod._ROW_BLOCK
+        block = 256
         n = 2 * block + 3
         for f_dim in (1, 2, 7, 8, 9, 17):
             pts = rng.standard_normal((n, f_dim))
@@ -63,7 +64,8 @@ class TestKnnRadius:
             pts[block - 6 : block + 6] = pts[block - 6]
             pts[-1] = pts[2 * block]
             feats = fs(pts)
-            radii = knn_radii(feats, k=5)
+            with mock.patch.object(metrics_mod, "_SCAN_BYTES", block * n * 8):
+                radii = knn_radii(feats, k=5)
             assert (radii == 0.0).any()
             assert all(knn_radius(pts[i], feats, k=5) == radii[i] for i in range(n))
             # the O(n) loop oracle on every 16th row and the rows at both block edges
@@ -75,6 +77,8 @@ class TestKnnRadius:
             knn_radii(fs([[0.0], [1.0]]), k=2)
         with pytest.raises(InsufficientDataError):
             knn_radius(np.array([0.0]), fs([[0.0], [1.0]]), k=2)
+        with pytest.raises(InsufficientDataError, match="have 0"):
+            knn_radius(np.array([0.0]), fs(np.empty((0, 1))), k=1)
 
 
 def _kernel_inputs(rng, n, m, f_dim):
@@ -94,14 +98,17 @@ def _kernel_inputs(rng, n, m, f_dim):
 
 
 def test_blocked_distance_matrix_equals_brute_force():
-    # row counts off the multiples of both row steps, and a single row;
-    # widths on both sides of numpy's 8-term pairwise-sum unrolling
+    # a budget of 256 rows of the 5 columns: steps of 32 rows below 8
+    # features and of 256 // F rows from 8 on; row counts off the multiples
+    # of every step, and a single row; widths on both sides of numpy's
+    # 8-term pairwise-sum unrolling
     rng = np.random.default_rng(21)
-    block = metrics_mod._ROW_BLOCK
+    block = 256
     for f_dim in (1, 2, 7, 8, 9, 17):
         for n in (2 * block + 3, block // 4 + 1, 1):
             a, b = _kernel_inputs(rng, n, 5, f_dim)
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore"), \
+                    mock.patch.object(metrics_mod, "_SCAN_BYTES", block * 5 * 8):
                 got = metrics_mod._distance_matrix(a, b)
                 want = [[dist(a[i], b[j]) for j in range(len(b))] for i in range(n)]
             assert got.shape == (n, len(b))
@@ -119,13 +126,12 @@ def test_mismatched_feature_widths_are_rejected():
             call()
 
 
-@pytest.mark.parametrize("n, m, f_dim", [
-    (2 * metrics_mod._ROW_BLOCK + 3, 700, 2), (300, 130, 7), (70, 40, 1),
-])
+@pytest.mark.parametrize("n, m, f_dim", [(515, 700, 2), (300, 130, 7), (70, 40, 1)])
 def test_column_distance_kernel_allocates_at_most_a_block(n, m, f_dim):
-    # below 8 features the kernel holds no block x m x F temporary: what it
-    # allocates beyond its output (scratch plus numpy's iterator buffers)
-    # stays within one block x m array
+    # below 8 features the kernel holds no step x m x F temporary: what it
+    # allocates beyond its output (the term, an eighth of the budget, numpy's
+    # buffer and b's transposed columns) stays within a quarter of the
+    # budget, and within twice the output when that is smaller
     rng = np.random.default_rng(23)
     a, b = rng.standard_normal((n, f_dim)), rng.standard_normal((m, f_dim))
     metrics_mod._distance_matrix(a, b)
@@ -135,7 +141,7 @@ def test_column_distance_kernel_allocates_at_most_a_block(n, m, f_dim):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - out.nbytes <= metrics_mod._ROW_BLOCK * m * 8
+    assert peak - out.nbytes <= min(metrics_mod._SCAN_BYTES // 4, 2 * out.nbytes)
 
 
 def test_irs_train_takes_no_transposed_copy():
@@ -176,11 +182,13 @@ def test_evaluate_holds_no_generated_by_reference_matrix():
 @pytest.mark.parametrize("block", [1, 3])
 def test_blocked_metrics_equal_brute_force_under_ties(block):
     # a small grid of coarse points: duplicated rows and tied distances on
-    # both sides of every block edge; the first of tied minima still wins
+    # both sides of every block edge; the first of tied minima still wins.
+    # Every scan here runs against the 23 real rows, so a budget of `block`
+    # such rows makes blocks of `block` rows
     rng = np.random.default_rng(26)
     real = rng.integers(-2, 3, size=(23, 2)) * 0.5
     gen = rng.integers(-2, 3, size=(17, 2)) * 0.5
-    with mock.patch.object(metrics_mod, "_ROW_BLOCK", block):
+    with mock.patch.object(metrics_mod, "_SCAN_BYTES", block * 23 * 8):
         assert coverage(fs(real), fs(gen, "generated"), k=3) == coverage_brute(real, gen, 3)
         assert list(retrieval_ids(fs(gen, "generated"), fs(real))) == retrieval_brute(gen, real)
         assert irs(fs(gen, "generated"), fs(real)) == irs_brute(gen, real)
@@ -201,6 +209,24 @@ def test_evaluate_holds_no_train_by_train_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n_train * n_train * 8 / 2
+
+
+@pytest.mark.parametrize("n_train", [3_000, 12_000])
+def test_evaluate_memory_is_flat_in_train_rows(n_train):
+    # the same bound of two budgets holds at 3,000 and at 12,000 train rows:
+    # each scan's block takes fewer rows as the reference set grows, never
+    # more bytes, and is freed before the next; only the O(n) arrays grow
+    rng = np.random.default_rng(27)
+    train = fs(rng.standard_normal((n_train, 2)), "train", classes=rng.integers(0, 3, n_train))
+    gen = fs(rng.standard_normal((600, 2)), "generated", classes=rng.integers(0, 3, 600))
+    test = fs(rng.standard_normal((400, 2)), "test", classes=rng.integers(0, 3, 400))
+    tracemalloc.start()
+    try:
+        evaluate(gen, train, test, k=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * metrics_mod._SCAN_BYTES
 
 
 class TestCoverage:
@@ -394,7 +420,9 @@ class TestEvaluate:
         k = data.draw(st.integers(1, 4), label="k")
         f_dim = data.draw(st.sampled_from([1, 2, 3, 8, 9, 17]), label="f_dim")
         n_cls = data.draw(st.integers(2, 4), label="n_cls")
-        block = data.draw(st.sampled_from([1, 3, metrics_mod._ROW_BLOCK]), label="block")
+        # one-row blocks, blocks of 24 floats, and the real budget
+        budget = data.draw(st.sampled_from([8, 3 * 8 * 8, metrics_mod._SCAN_BYTES]),
+                           label="budget")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         pool = rng.integers(-2, 3, size=(int(rng.integers(1, 8)), f_dim)) * 0.5
 
@@ -408,7 +436,7 @@ class TestEvaluate:
                                                                 for _ in range(n_cls - 1)])
         test = draw_set("test", [int(rng.integers(1, 6))] + [int(rng.integers(0, 6))
                                                             for _ in range(n_cls - 1)])
-        with mock.patch.object(metrics_mod, "_ROW_BLOCK", block):
+        with mock.patch.object(metrics_mod, "_SCAN_BYTES", budget):
             report = evaluate(gen, train, test, k=k)
 
         def expected(gen_c, train_c, test_c):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import tailflow.metrics as metrics_mod
 import tailflow.partition as partition_mod
 from oracles import mean_pairwise_conflict_brute, partition_objective_brute
 from tailflow.datagen import ClassSpec, blob_specs, chest_longtail_specs, generate_corpus
@@ -254,21 +256,24 @@ class TestBisectingKMeans:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n=st.integers(2, 2 * partition_mod._PAIR_BLOCK + 40),
+        n=st.integers(2, 2 * 256 + 40),
+        block=st.integers(1, 64),
         distinct=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n=partition_mod._PAIR_BLOCK + 1, distinct=2, seed=0)
-    @example(n=2 * partition_mod._PAIR_BLOCK, distinct=3, seed=1)
-    def test_blocked_max_conflict_pair_matches_dense(self, n, distinct, seed):
-        # few distinct small-integer rows: many exact ties, exact dot products
+    @example(n=256 + 1, block=256, distinct=2, seed=0)
+    @example(n=2 * 256, block=256, distinct=3, seed=1)
+    def test_blocked_max_conflict_pair_matches_dense(self, n, block, distinct, seed):
+        # few distinct small-integer rows: many exact ties, exact dot products;
+        # a budget of `block` rows of n floats makes blocks of `block` rows
         rng = np.random.default_rng(seed)
         pool = rng.integers(-2, 3, size=(distinct, 3)).astype(np.float64)
         rows = pool[rng.integers(0, distinct, size=n)]
         conf = 1.0 - rows @ rows.T
         conf[np.tril_indices(n)] = -np.inf
         i, j = np.unravel_index(int(np.argmax(conf)), conf.shape)
-        assert partition_mod._max_conflict_pair(rows) == (int(i), int(j))
+        with mock.patch.object(metrics_mod, "_SCAN_BYTES", block * n * 8):
+            assert partition_mod._max_conflict_pair(rows) == (int(i), int(j))
 
     def test_memory_stays_linear_in_corpus_size(self):
         # an N x N float64 Gram matrix alone would take 275 MB here
@@ -282,8 +287,9 @@ class TestBisectingKMeans:
         assert peak < 64 * 2**20
 
     def test_seed_pair_scan_memory_stays_one_block(self):
-        # one 256 x 20000 float64 block is 39 MiB; a second live block-sized
-        # array (1 - product, or the previous block) would double the peak
+        # one block is 6 x 20000 float64s (0.96 MB), within the 1 MiB budget;
+        # a second live block-sized array (1 - product, or the previous
+        # block) would double the peak
         unit = np.random.default_rng(0).standard_normal((20_000, 16))
         unit /= np.linalg.norm(unit, axis=1)[:, None]
         tracemalloc.start()
@@ -292,7 +298,21 @@ class TestBisectingKMeans:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 48 * 2**20
+        assert peak < 3 * metrics_mod._SCAN_BYTES // 2
+
+    @pytest.mark.parametrize("n", [5_000, 20_000])
+    def test_seed_pair_scan_memory_is_flat_in_n(self, n):
+        # the same bound of two budgets holds at 5,000 and at 20,000 rows:
+        # a block takes fewer rows as n grows, never more bytes
+        unit = np.random.default_rng(1).standard_normal((n, 16))
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        tracemalloc.start()
+        try:
+            partition_mod._max_conflict_pair(unit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * metrics_mod._SCAN_BYTES
 
 
 class TestRandomPartition:

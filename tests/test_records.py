@@ -60,6 +60,18 @@ FAULTS = [
     ("noise scale in another float form", ("corpus",), None,
      _replace_first("# noise_scale 0.05", "# noise_scale 5e-2"), "is not in the written form",
      False),
+    # header values in the written form that no run makes
+    ("negative noise scale", ("corpus",), None,
+     _replace_first("# noise_scale 0.05", "# noise_scale -0.05"),
+     "noise_scale must be finite and >= 0, got -0.05", False),
+    ("NaN noise scale", ("corpus",), None,
+     _replace_first("# noise_scale 0.05", "# noise_scale nan"),
+     "noise_scale must be finite and >= 0, got nan", False),
+    ("infinite noise scale", ("corpus",), None,
+     _replace_first("# noise_scale 0.05", "# noise_scale inf"),
+     "noise_scale must be finite and >= 0, got inf", False),
+    ("negative seed", ("corpus",), None, _replace_first("# seed 4", "# seed -4"),
+     "seed must be >= 0, got -4", False),
     ("leading-zero expert count", ("partition",), None,
      _replace_first("# experts 4", "# experts 04"), "is not in the written form", False),
     ("tab after a header's #", WITH_FLOATS, None, _replace_first("# dimension", "#\tdimension"),
@@ -84,6 +96,9 @@ FAULTS = [
      True),
     ("plus-signed integer column", ALL, 1, lambda f: [f[0], "+" + f[1], *f[2:]],
      "token not in the written form", True),
+    # a lone surrogate is written as the byte 0xff, which is not UTF-8
+    ("byte that is not UTF-8", ALL, 2, lambda f: [f[0], f[1] + "\udcff", *f[2:]],
+     "not UTF-8: invalid start byte", True),
     ("leading-zero id", ALL, 1, lambda f: ["01", *f[1:]], "token not in the written form", True),
     ("leading-zero integer column", ALL, 0, lambda f: [f[0], "0" + f[1], *f[2:]],
      "token not in the written form", True),
@@ -141,7 +156,7 @@ def test_malformed_files_are_rejected_naming_file_and_line(
     else:
         at = next(i for i, line in enumerate(lines) if not line.startswith("#")) + row
         lines[at] = " ".join(edit(lines[at].split()))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     with pytest.raises(ValueError, match=message) as info:
         LOAD[kind](path)
     text = str(info.value)
