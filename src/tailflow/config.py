@@ -10,6 +10,7 @@ key order or formatting.
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 import re
 from dataclasses import dataclass, field, fields, replace
@@ -221,6 +222,10 @@ class ExperimentConfig:
                 value = getattr(self, _KEYS[key])
                 if not _COMPARE[op](value, bound):  # nan fails every comparison
                     raise ValueError(f"{key}: must be {op} {bound}, got {value!r}")
+        for key, name in _KEYS.items():  # inf passes the bounds and fails a later stage
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{key}: must be finite, got {value!r}")
         for key in self.explicit_classes:
             if not _CLASS_KEY.fullmatch(key):
                 raise ValueError(f"{key}: expected class.<int >= 0>.<mean|scale|count|healthy>")

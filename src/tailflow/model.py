@@ -41,18 +41,29 @@ per adapted block, the factors whose products are the adapter gradients;
 that route no sample of a batch get exact-zero gradients, and the backbone
 gets gradients only when it is explicitly unfrozen, which the fine-tuning
 contract forbids.
+
+The GELU's ``erf`` is scipy's compiled ufunc, loaded from the extension
+module ``scipy.special._special_ufuncs`` alone. Importing the scipy.special
+package would also import numpy.f2py, numpy.testing and numpy.ma, since
+array_api_compat's ``clone_module`` touches every lazy numpy submodule; that
+doubles a process's start-up time and adds 15 MB. The module is kept in
+``sys.modules`` under its own name, so a later ``import scipy.special``
+reuses it and ``scipy.special.erf`` is the same object.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractViolationError
 from .seeding import rng_for
@@ -77,6 +88,30 @@ __all__ = [
 CHECKPOINT_VERSION = 2
 
 Slices = list[tuple[int, slice]]  # (k, rows) per routed expert, see _route
+
+_UFUNCS = "scipy.special._special_ufuncs"
+
+
+def _load_erf() -> np.ufunc:
+    """scipy's own ``erf`` ufunc from its extension module, without the
+    scipy.special package (see the module docstring). A scipy without the
+    module, or without ``erf`` in it, gets the package import."""
+    module = sys.modules.get(_UFUNCS)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")  # a top-level name: located, not imported
+        spec = scipy and importlib.machinery.PathFinder.find_spec(
+            _UFUNCS, [os.path.join(p, "special") for p in scipy.submodule_search_locations])
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_UFUNCS] = module
+    erf = getattr(module, "erf", None)
+    if erf is None:
+        from scipy.special import erf
+    return erf
+
+
+erf = _load_erf()
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)

@@ -180,6 +180,10 @@ def _two_classes(first: str) -> str:
     ("train.steps = -1", "train.steps: must be >= 0, got -1"),
     ("partition.experts = 0", "partition.experts: must be >= 1, got 0"),
     ("train.lr = nan", "train.lr: must be > 0, got nan"),
+    ("train.lr = inf", "train.lr: must be finite, got inf"),
+    ("train.pretrain_lr = inf", "train.pretrain_lr: must be finite, got inf"),
+    ("corpus.noise_scale = inf", "corpus.noise_scale: must be finite, got inf"),
+    ("sample.guidance_scale = inf", "sample.guidance_scale: must be finite, got inf"),
     ("sample.guidance_scale = -1", "sample.guidance_scale: must be >= 0, got -1.0"),
     ("class.0.colour = red", "class.0.colour: expected class.<int >= 0>"),
     ("class.x.count = 3", "class.x.count: expected class.<int >= 0>"),

@@ -1,6 +1,11 @@
 import dataclasses
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -672,3 +677,55 @@ def test_checkpoint_round_trip_property(num_experts, width, blocks, nonlinearity
     assert model_forward(state, X, T, C, experts).tobytes() == (
         model_forward(loaded, X, T, C, experts).tobytes()
     )
+
+
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this checkout's tailflow."""
+    src = str(Path(model_mod.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def test_cli_import_leaves_the_scipy_special_package_unimported():
+    code = ("import sys, tailflow.cli; "
+            "print([m for m in ('scipy.special', 'scipy._lib._array_api') if m in sys.modules])")
+    assert _fresh_python(code) == "[]"
+
+
+def test_erf_is_the_scipy_special_ufunc_when_scipy_special_is_imported_later():
+    code = ("import tailflow.model as m, scipy.special, scipy.stats; "
+            "print(m.erf is scipy.special.erf)")
+    assert _fresh_python(code) == "True"
+
+
+def test_erf_equals_scipy_special_erf_bit_for_bit():
+    import scipy.special
+
+    tiny = np.finfo(np.float64).tiny
+    branches = np.array([1.0, 8.0])  # where cephes switches between its expansions
+    grid = np.concatenate([
+        [0.0, np.inf, np.nan, 5e-324, tiny / 2, tiny, 1e-17, 1e-8],
+        np.nextafter(branches, 0.0), branches, np.nextafter(branches, np.inf),
+        np.linspace(0.0, 30.0, 3001),
+        rng_for(0, "erf-grid").standard_normal(100_000),
+    ])
+    grid = np.concatenate([grid, -grid])  # -0.0 and the negative half
+    assert model_mod.erf(grid).tobytes() == scipy.special.erf(grid).tobytes()
+
+
+@pytest.mark.parametrize("stub", [None, ""], ids=["no-extension", "extension-without-erf"])
+def test_erf_loader_falls_back_to_the_package_import(monkeypatch, tmp_path, stub):
+    import scipy.special
+
+    if stub is not None:  # a _special_ufuncs module that defines no erf
+        (tmp_path / "special").mkdir()
+        (tmp_path / "special" / "_special_ufuncs.py").write_text(stub)
+    scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy_spec.submodule_search_locations = [str(tmp_path)]
+    real = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *a: scipy_spec if name == "scipy" else real(name, *a))
+    monkeypatch.delitem(sys.modules, model_mod._UFUNCS)
+    assert model_mod._load_erf() is scipy.special.erf
