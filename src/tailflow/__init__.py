@@ -18,7 +18,6 @@ from .datagen import (
     load_corpus,
     save_corpus,
     tail8_specs,
-    text_embedding_surrogate,
 )
 from .metrics import (
     FeatureSet,

@@ -16,15 +16,19 @@ import sys
 from pathlib import Path
 
 from .config import load_experiment_config
+from .partition import _METHODS
 from .pipeline import (
     ARTIFACTS,
     RunManifest,
     build_partition,
     compare_runs,
+    open_run,
     pretrained_backbone,
     run_pipeline,
     run_stage,
 )
+from .seeding import derive_seed
+from .training import measure_conflict_reduction
 
 
 class _UsageError(Exception):
@@ -51,40 +55,30 @@ def _cmd_stage(args) -> int:
 
 
 def _cmd_analyze_conflicts(args) -> int:
-    import csv as _csv
-    import io
-
-    from .datagen import load_corpus
-    from .seeding import derive_seed
-    from .training import measure_conflict_reduction
-
     if args.probe_size < 2:  # before the pretraining it would waste
         raise ValueError(f"probe_size must be >= 2 to form a pair, got {args.probe_size}")
     cfg = load_experiment_config(args.config)
-    root = cfg.root_seed if args.seed is None else args.seed
-    out = Path(args.out)
-    corpus = load_corpus(out / "train_corpus.txt")
+    ctx, _ = open_run(cfg, args.out, "analyze-conflicts", args.seed)
+    corpus = ctx.train_corpus()
     # probe the same frozen base the train stage fine-tunes
-    state = pretrained_backbone(cfg, corpus, root)
+    state = pretrained_backbone(cfg, corpus, ctx.root)
     parts = []
     kept = []
-    for method in ("label-tier", "embedding-kmeans", "random", "single"):
+    for method in _METHODS:
         experts = 1 if method == "single" else cfg.partition_experts
         try:
-            parts.append(build_partition(corpus, method, experts, derive_seed(root, method)))
+            parts.append(build_partition(corpus, method, experts, derive_seed(ctx.root, method)))
             kept.append(method)
         except ValueError as exc:
             print(f"skipped {method}: {exc}", file=sys.stderr)
     scores = measure_conflict_reduction(
-        state, corpus, parts, probe_size=args.probe_size, seed=derive_seed(root, "conflict")
+        state, corpus, parts, probe_size=args.probe_size, seed=derive_seed(ctx.root, "conflict")
     )
-    buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(["partition", "within_cluster_conflict", "pair_count"])
-    for method, score in zip(kept, scores):
-        writer.writerow([method, repr(score.overall), score.pair_count])
-    (out / "conflict_comparison.csv").write_text(buf.getvalue())
-    print(buf.getvalue().rstrip())
+    table = "partition,within_cluster_conflict,pair_count\n" + "".join(
+        f"{method},{score.overall!r},{score.pair_count}\n" for method, score in zip(kept, scores)
+    )
+    (ctx.out / "conflict_comparison.csv").write_text(table)
+    print(table.rstrip())
     return 0
 
 

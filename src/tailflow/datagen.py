@@ -32,7 +32,6 @@ __all__ = [
     "Corpus",
     "generate_corpus",
     "label_embedding",
-    "text_embedding_surrogate",
     "chest_longtail_specs",
     "tail8_specs",
     "blob_specs",
@@ -147,7 +146,8 @@ class Corpus:
         if len(set(known)) != len(known):
             raise ValueError("duplicate class ids in spec")
         _validate_specs(self.classes, self.dimension)
-        _check_noise_scale(self.noise_scale)
+        if not 0 <= self.noise_scale < math.inf:  # NaN too
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         unknown = np.flatnonzero(~np.isin(self.labels, known))
@@ -179,31 +179,6 @@ def label_embedding(
     return _unit_class_vector(class_id, seed, dim)
 
 
-def text_embedding_surrogate(
-    sample_id: int,
-    class_id: int,
-    noise_scale: float,
-    seed: int,
-    dim: int = DEFAULT_EMBEDDING_DIM,
-) -> np.ndarray:
-    """Per-sample embedding: class unit vector plus Gaussian jitter.
-
-    With noise_scale = 0 this equals the class label embedding exactly.
-    Deterministic per (sample_id, seed); ``generate_corpus`` gives sample
-    ``sample_id`` of the class exactly this row.
-    """
-    _check_noise_scale(noise_scale)
-    base = _unit_class_vector(class_id, seed, dim)
-    if noise_scale == 0:
-        return base
-    return base + noise_scale * rng_for(seed, "embedding-jitter", sample_id).standard_normal(dim)
-
-
-def _check_noise_scale(noise_scale: float) -> None:
-    if not 0 <= noise_scale < math.inf:  # NaN too
-        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
-
-
 def generate_corpus(
     spec: list[ClassSpec],
     dimension: int,
@@ -222,7 +197,6 @@ def generate_corpus(
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     _validate_specs(spec, dimension)
-    _check_noise_scale(noise_scale)
 
     n = sum(c.count for c in spec)
     x = np.empty((n, dimension))
@@ -234,14 +208,11 @@ def generate_corpus(
         mean = np.asarray(c.mean, dtype=np.float64)
         draws = rng_for(seed, "class-draw", c.class_id).standard_normal((c.count, dimension))
         x[rows] = mean[None, :] + c.scale * draws
-        base = _unit_class_vector(c.class_id, seed, embedding_dim)
-        if noise_scale == 0:
-            embeddings[rows] = base
-        else:  # in place: * and + commute exactly, so these are base + noise_scale * draws
-            for row, rng in zip(embeddings[rows], jitter):
-                rng.standard_normal(out=row)
-            embeddings[rows] *= noise_scale
-            embeddings[rows] += base
+        # in place: * and + commute exactly, so these are base + noise_scale * draws
+        for row, rng in zip(embeddings[rows], jitter):
+            rng.standard_normal(out=row)
+        embeddings[rows] *= noise_scale
+        embeddings[rows] += _unit_class_vector(c.class_id, seed, embedding_dim)
         start += c.count
     corpus = Corpus(
         x=x,
@@ -272,60 +243,42 @@ def _circle_means(num_classes: int, dimension: int, radius: float) -> list[tuple
     return means
 
 
-def _scaled_counts(raw: list[int], total: int) -> list[int]:
+def _scaled_counts(raw: list[float], total: int) -> list[int]:
     s = sum(raw)
     return [max(1, round(total * r / s)) for r in raw]
 
 
-def chest_longtail_specs(
-    total: int = 2000, dimension: int = 2, scale: float = 0.5, radius: float = 4.0
+def _longtail_specs(
+    weights: list[float], scale: float, total: int, dimension: int
 ) -> list[ClassSpec]:
+    """``total`` samples split by ``weights``, at least one per class; class 0
+    is healthy at the origin and the rest sit on the radius-4 circle."""
+    means = _circle_means(len(weights), dimension, 4.0)
+    return [
+        ClassSpec(class_id=i, mean=means[i], scale=scale, count=n, is_healthy=(i == 0))
+        for i, n in enumerate(_scaled_counts(weights, total))
+    ]
+
+
+def chest_longtail_specs(total: int = 2000, dimension: int = 2) -> list[ClassSpec]:
     """Default corpus spec: chest X-ray benchmark ratios scaled to ``total``.
-
-    The dominant no-finding class is class 0 (healthy, at the origin);
-    the 18 pathology classes sit on a circle, ordered by descending count.
-    """
-    raw = [n for _, n in CHEST_LONGTAIL_COUNTS]
-    counts = _scaled_counts(raw, total)
-    means = _circle_means(len(raw), dimension, radius)
-    return [
-        ClassSpec(class_id=i, mean=means[i], scale=scale, count=counts[i], is_healthy=(i == 0))
-        for i in range(len(raw))
-    ]
+    The no-finding class is class 0; the 18 pathology classes follow by
+    descending count."""
+    return _longtail_specs([n for _, n in CHEST_LONGTAIL_COUNTS], 0.5, total, dimension)
 
 
-def tail8_specs(
-    total: int = 2000, dimension: int = 2, scale: float = 0.45, radius: float = 4.0
-) -> list[ClassSpec]:
+def tail8_specs(total: int = 2000, dimension: int = 2) -> list[ClassSpec]:
     """8-class long-tail spec: 60% healthy head, four tail classes < 2% each."""
+    # these sum to exactly 1.0, so each count is max(1, round(total * r))
     ratios = [0.60, 0.13, 0.11, 0.10, 0.015, 0.015, 0.015, 0.015]
-    counts = [max(1, round(total * r)) for r in ratios]
-    means = _circle_means(8, dimension, radius)
-    return [
-        ClassSpec(class_id=i, mean=means[i], scale=scale, count=counts[i], is_healthy=(i == 0))
-        for i in range(8)
-    ]
+    return _longtail_specs(ratios, 0.45, total, dimension)
 
 
-def blob_specs(
-    num_blobs: int,
-    per_blob: int,
-    dimension: int = 2,
-    scale: float = 0.25,
-    radius: float = 6.0,
-) -> list[ClassSpec]:
-    """Equal-size, well-separated blobs (no healthy class); for clustering tests."""
-    means = []
-    for c in range(num_blobs):
-        ang = 2.0 * math.pi * c / num_blobs
-        m = [0.0] * dimension
-        m[0] = radius * math.cos(ang)
-        if dimension >= 2:
-            m[1] = radius * math.sin(ang)
-        means.append(tuple(m))
+def blob_specs(num_blobs: int, per_blob: int) -> list[ClassSpec]:
+    """Equal-size, well-separated 2-D blobs on a radius-6 circle, none healthy."""
+    means = _circle_means(num_blobs + 1, 2, 6.0)[1:]  # drop the origin class
     return [
-        ClassSpec(class_id=c, mean=means[c], scale=scale, count=per_blob, is_healthy=False)
-        for c in range(num_blobs)
+        ClassSpec(class_id=c, mean=m, scale=0.25, count=per_blob) for c, m in enumerate(means)
     ]
 
 

@@ -57,6 +57,7 @@ __all__ = [
     "RunManifest",
     "run_pipeline",
     "run_stage",
+    "open_run",
     "compare_runs",
     "build_partition",
     "pretrained_backbone",
@@ -247,10 +248,9 @@ def _sample(ctx: RunContext) -> None:
     trained = ctx.trained_state()
     vectors = []
     classes = []
+    bound = max(c.class_id for c in corpus.classes) + 1  # explicit class ids may be sparse
     for spec in corpus.classes:
-        cond = label_embedding(
-            spec.class_id, corpus.num_classes, corpus.seed, corpus.embedding_dim
-        )
+        cond = label_embedding(spec.class_id, bound, corpus.seed, corpus.embedding_dim)
         xs = sample_batch(
             trained, cond, experts[spec.class_id], cfg.sample_guidance_scale,
             cfg.sample_steps, cfg.sample_per_class,
@@ -323,12 +323,12 @@ def run_pipeline(
     return manifest
 
 
-def run_stage(
+def open_run(
     cfg: ExperimentConfig, out_dir: str | Path, name: str, seed: int | None = None
-) -> RunManifest:
-    """Run one stage, reading its inputs from ``out_dir``, and record it in
-    that directory's manifest. A manifest made with another config or root
-    seed is refused with ``StageError``."""
+) -> tuple[RunContext, RunManifest]:
+    """The context and manifest of the run in ``out_dir``, for step ``name``
+    to read from. A manifest made with another config or root seed is
+    refused with ``StageError``."""
     ctx, manifest = _start(cfg, out_dir, seed)
     path = ctx.out / "manifest.json"
     if path.exists():
@@ -341,6 +341,14 @@ def run_stage(
                 f"and seed {ctx.root}",
             )
         manifest = recorded
+    return ctx, manifest
+
+
+def run_stage(
+    cfg: ExperimentConfig, out_dir: str | Path, name: str, seed: int | None = None
+) -> RunManifest:
+    """Run one stage on the run in ``out_dir`` (see ``open_run``) and record it."""
+    ctx, manifest = open_run(cfg, out_dir, name, seed)
     _run(ctx, manifest, name)
     return manifest
 

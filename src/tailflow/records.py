@@ -59,6 +59,8 @@ def read_records(
     first = f"# {kind} {RECORDS_VERSION}"
     if lines[0] != first:
         raise ValueError(f"{path}: not a {kind} file: the first line is not {first!r}")
+    if not data.endswith(b"\n"):
+        raise ValueError(f"{path}: line {len(lines)}: no newline at the end of the file")
     start = 1
     while start < len(lines) and lines[start].startswith("#"):
         start += 1

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from tailflow.seeding import rng_for
+
 
 def dist(a: np.ndarray, b: np.ndarray) -> float:
     d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
@@ -163,3 +165,16 @@ def euler_reference(velocity, x0: np.ndarray, steps: int) -> np.ndarray:
     for i in range(steps):
         x = x + dt * velocity(x, i / steps)
     return x
+
+
+def text_embedding_surrogate(
+    sample_id: int, class_id: int, noise_scale: float, seed: int, dim: int = 16
+) -> np.ndarray:
+    """Sample ``sample_id``'s embedding row, drawn on its own: its class's unit
+    vector plus ``noise_scale`` times the draws of its jitter stream
+    ``rng_for(seed, "embedding-jitter", sample_id)``."""
+    base = rng_for(seed, "label-embedding", class_id).standard_normal(dim)
+    base = base / np.linalg.norm(base)
+    if noise_scale == 0:
+        return base
+    return base + noise_scale * rng_for(seed, "embedding-jitter", sample_id).standard_normal(dim)

@@ -222,6 +222,38 @@ class TestCli:
         methods = [line.split(",")[0] for line in table.strip().splitlines()[1:]]
         assert methods == ["embedding-kmeans", "random", "single"]
 
+    def test_analyze_conflicts_refuses_another_runs_directory(self, tmp_path, capsys):
+        # the stage subcommands' manifest check: another seed or config is refused
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMOKE_TEXT)
+        other = tmp_path / "other.cfg"
+        other.write_text(SMOKE_TEXT.replace("backbone.hidden_dim = 32", "backbone.hidden_dim = 16"))
+        out = tmp_path / "work"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        for argv in (["--seed", "7", "--config", str(cfg_path)], ["--config", str(other)]):
+            assert main(["analyze-conflicts", *argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "stage 'analyze-conflicts' failed" in err
+            assert f"{out / 'manifest.json'} records config" in err
+            assert not (out / "conflict_comparison.csv").exists()
+
+    def test_pipeline_runs_sparse_explicit_class_ids(self, tmp_path, capsys):
+        # any non-negative class.<id> is allowed, so ids need not be dense
+        classes = {"class.0.healthy": True}
+        for cid, mean, count in [(0, (0.0, 0.0), 80), (5, (3.0, 0.0), 40),
+                                 (7, (0.0, 3.0), 20), (9, (3.0, 3.0), 10)]:
+            classes.update({f"class.{cid}.mean": list(mean), f"class.{cid}.scale": 0.5,
+                            f"class.{cid}.count": count})
+        sparse = ExperimentConfig(**{**SMOKE.__dict__, "explicit_classes": classes})
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(sparse.to_text())
+        out = tmp_path / "work"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert list(metrics["per_class"]) == ["0", "5", "7", "9"]
+        capsys.readouterr()
+
     def test_compare_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(SMOKE_TEXT)

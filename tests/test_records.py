@@ -35,7 +35,8 @@ def _replace_first(old, new):
 
 # (fault, kinds, record edited or None for a header edit, edit, message,
 #  whether the message names the line); a record edit maps the record's
-#  fields to new fields, a header edit maps all lines to new lines
+#  fields to new fields, or is None to keep the last record and drop the
+#  file's final newline, and a header edit maps all lines to new lines
 FAULTS = [
     ("wrong format", ALL, None, lambda lines: ["# tailflow-other 1"] + lines[1:],
      "not a tailflow-", False),
@@ -137,6 +138,8 @@ FAULTS = [
      "class 7: 0 samples, spec says 1", False),
     ("missing last record", ("partition",), None, lambda lines: lines[:-1],
      "40 records for a corpus of 41", False),
+    ("no newline after the last record", ALL, 40, None, "no newline at the end of the file",
+     True),
 ]
 
 
@@ -151,12 +154,16 @@ def test_malformed_files_are_rejected_naming_file_and_line(
     path = tmp_path / f"{kind}.txt"
     SAVE[kind](path)
     lines = path.read_text().splitlines()
+    end = "\n"
     if row is None:
         lines = edit(lines)
     else:
         at = next(i for i, line in enumerate(lines) if not line.startswith("#")) + row
-        lines[at] = " ".join(edit(lines[at].split()))
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+        if edit is None:
+            end = ""
+        else:
+            lines[at] = " ".join(edit(lines[at].split()))
+    path.write_bytes(("\n".join(lines) + end).encode("utf-8", "surrogateescape"))
     with pytest.raises(ValueError, match=message) as info:
         LOAD[kind](path)
     text = str(info.value)
