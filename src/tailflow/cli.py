@@ -6,7 +6,8 @@ one stage of ``tailflow.pipeline`` on the inputs an earlier stage left in
 ``--out`` and record it in ``--out/manifest.json``. Every subcommand is a
 pure function of (files in ``--out``, flags, seed) to files under ``--out``;
 nothing is written anywhere else. Exit codes: 0 success, 1 usage error,
-2 stage failure.
+2 stage failure. A failed command removes the directories it made for
+``--out`` that it left empty.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def _cmd_analyze_conflicts(args) -> int:
     ctx, _ = open_run(cfg, args.out, "analyze-conflicts", args.seed)
     corpus = ctx.train_corpus()
     # probe the same frozen base the train stage fine-tunes
-    state = pretrained_backbone(cfg, corpus, ctx.root)
+    state = pretrained_backbone(cfg, corpus, derive_seed(ctx.root, "backbone"),
+                                derive_seed(ctx.root, "pretrain"))
     parts = []
     kept = []
     for method in _METHODS:
@@ -137,11 +139,16 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    out = Path(args.out)
+    made = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:  # before --out is made
             raise ValueError(f"--seed: must be >= 0, got {args.seed}")
         return args.fn(args)
     except Exception as exc:  # noqa: BLE001 - stage failures map to exit 2
+        for path in made:
+            if path.is_dir() and not any(path.iterdir()):
+                path.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ from .datagen import (
     tail8_specs,
 )
 from .model import _ACTIVATIONS, _placement_blocks
-from .partition import _METHODS
+from .partition import _METHODS, label_tier_classes
 
 __all__ = [
     "CONFIG_VERSION",
@@ -253,6 +253,11 @@ class ExperimentConfig:
         if largest < self.metrics_k + 1:
             raise ValueError(f"metrics.k: {self.metrics_k} needs a train class of at least "
                              f"{self.metrics_k + 1} members; the largest has {largest}")
+        if self.partition_method == "label-tier":  # before the partition stage would refuse it
+            try:
+                label_tier_classes(specs, self.partition_experts)
+            except ValueError as exc:
+                raise ValueError(f"partition.method = label-tier: {exc}") from None
 
 
 # dotted config key -> field name: the field name with its first "_" as "."

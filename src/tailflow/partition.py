@@ -32,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .datagen import Corpus
+from .datagen import ClassSpec, Corpus
 from .errors import DegenerateInputError, InsufficientDataError
 from .metrics import _block_rows
 from .records import check_header, read_records, write_records
@@ -43,6 +43,7 @@ __all__ = [
     "ConflictScore",
     "pairwise_conflict",
     "partition_conflict",
+    "label_tier_classes",
     "label_tier_partition",
     "bisecting_kmeans_partition",
     "random_partition",
@@ -216,6 +217,24 @@ def _tier_boundaries(counts: list[int], tiers: int) -> list[int]:
     return bounds
 
 
+def label_tier_classes(
+    classes: list[ClassSpec], num_experts: int
+) -> tuple[list[ClassSpec], int | None]:
+    """The classes label tiers split into head/medium/tail, and the healthy
+    class that gets expert 3 (None when K = 3). Raises ``ValueError`` unless
+    K is 3 or 4, K = 4 has a healthy class, and at least 3 classes are tiered;
+    config loading checks the same, so a run fails before it writes."""
+    if num_experts not in (3, 4):
+        raise ValueError(f"label tiers support K in {{3, 4}}, got {num_experts}")
+    healthy = next((c.class_id for c in classes if c.is_healthy and num_experts == 4), None)
+    if num_experts == 4 and healthy is None:
+        raise ValueError("K = 4 label tiers require a designated healthy class")
+    tiered = [c for c in classes if c.class_id != healthy]
+    if len(tiered) < 3:
+        raise InsufficientDataError(f"label tiers need 3 tiered classes, got {len(tiered)}")
+    return tiered, healthy
+
+
 def label_tier_partition(corpus: Corpus, num_experts: int = 4) -> Partition:
     """Head/medium/tail frequency tiers; the healthy class gets its own
     expert (the last one) when ``num_experts`` is 4.
@@ -224,15 +243,7 @@ def label_tier_partition(corpus: Corpus, num_experts: int = 4) -> Partition:
     bands of the descending-count order, with boundaries chosen greedily so
     tier totals are as balanced as possible.
     """
-    if num_experts not in (3, 4):
-        raise ValueError(f"label tiers support K in {{3, 4}}, got {num_experts}")
-    healthy = corpus.healthy_class_id()
-    if num_experts == 4 and healthy is None:
-        raise ValueError("K = 4 label tiers require a designated healthy class")
-    tiered = [c for c in corpus.classes if not (num_experts == 4 and c.class_id == healthy)]
-    if len(tiered) < 3:
-        raise InsufficientDataError("fewer non-healthy classes than tiers")
-
+    tiered, healthy = label_tier_classes(corpus.classes, num_experts)
     tiered.sort(key=lambda c: (-c.count, c.class_id))
     bounds = _tier_boundaries([c.count for c in tiered], 3)
     class_to_tier: dict[int, int] = {}
@@ -241,7 +252,7 @@ def label_tier_partition(corpus: Corpus, num_experts: int = 4) -> Partition:
         for c in tiered[start:end]:
             class_to_tier[c.class_id] = tier
         start = end
-    if num_experts == 4:
+    if healthy is not None:
         class_to_tier[healthy] = 3
 
     assignments = np.empty(len(corpus), dtype=np.int64)

@@ -9,9 +9,10 @@ hashes, wall-clock seconds), and a run is fully reproducible from (config,
 root seed). Any stage failure raises ``StageError`` naming the stage;
 artifacts written so far are retained.
 
-A pre-training phase inside the train stage fits the backbone itself
-(unfrozen, no adapters) and then freezes it, standing in for the large
-pre-trained model that fine-tuning starts from.
+The train and sample stages write out the run recipe: ``pretrained_backbone``
+fits the backbone itself (unfrozen, no adapters) and freezes it, standing in
+for a large pre-trained model; ``fine_tune`` and ``sample_classes`` follow.
+Their seeds are arguments, so each caller keeps its own seed labels.
 """
 
 from __future__ import annotations
@@ -27,7 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, class_specs_from_config
-from .datagen import ClassSpec, Corpus, generate_corpus, label_embedding, load_corpus, save_corpus
+from .datagen import (
+    ClassSpec,
+    Corpus,
+    _unit_class_vector,
+    generate_corpus,
+    load_corpus,
+    save_corpus,
+)
 from .errors import SchemaMismatchError, StageError
 from .metrics import FeatureSet, evaluate, load_features, save_samples
 from .model import (
@@ -51,7 +59,14 @@ from .partition import (
     single_partition,
 )
 from .seeding import derive_seed
-from .training import ledger_json, pretrain_backbone, traces_csv, train
+from .training import (
+    ConflictTrace,
+    UtilizationLedger,
+    ledger_json,
+    pretrain_backbone,
+    traces_csv,
+    train,
+)
 
 __all__ = [
     "RunManifest",
@@ -61,6 +76,8 @@ __all__ = [
     "compare_runs",
     "build_partition",
     "pretrained_backbone",
+    "fine_tune",
+    "sample_classes",
     "ARTIFACTS",
 ]
 
@@ -166,9 +183,16 @@ class RunContext:
         return self.state
 
 
-def pretrained_backbone(cfg: ExperimentConfig, corpus: Corpus, root: int) -> ModelState:
-    """The frozen base model: a backbone shaped by ``cfg`` and pre-trained on
-    ``corpus``. The train stage fine-tunes it; analyze-conflicts probes it."""
+# The recipe and the stage bodies look the package functions up as module globals
+# when called, so a caller that replaces ``pipeline.train`` (say) sees every call.
+
+
+def pretrained_backbone(
+    cfg: ExperimentConfig, corpus: Corpus, init_seed: int, seed: int
+) -> ModelState:
+    """The frozen base model: a backbone shaped by ``cfg``, drawn from
+    ``init_seed`` and pre-trained on ``corpus`` under ``seed``. The train
+    stage fine-tunes it; analyze-conflicts probes it."""
     config = BackboneConfig(
         data_dim=cfg.corpus_dimension,
         hidden_dim=cfg.backbone_hidden_dim,
@@ -178,19 +202,50 @@ def pretrained_backbone(cfg: ExperimentConfig, corpus: Corpus, root: int) -> Mod
     )
     state = ModelState(
         config=config,
-        backbone=init_backbone(config, derive_seed(root, "backbone")),
+        backbone=init_backbone(config, init_seed),
         adapters=None,
         frozen=False,
     )
     return pretrain_backbone(
         state, corpus, cfg.train_pretrain_steps, cfg.train_batch_size,
-        cfg.train_pretrain_lr, derive_seed(root, "pretrain"),
-        cond_dropout=cfg.train_cond_dropout,
+        cfg.train_pretrain_lr, seed, cond_dropout=cfg.train_cond_dropout,
     )
 
 
-# The stage bodies look the package functions up as module globals when
-# called, so a caller that replaces ``pipeline.train`` (say) sees every call.
+def fine_tune(
+    cfg: ExperimentConfig, base: ModelState, corpus: Corpus, part: Partition,
+    init_seed: int, seed: int,
+) -> tuple[ModelState, UtilizationLedger, list[ConflictTrace]]:
+    """``cfg``'s adapters, one per expert of ``part`` drawn from ``init_seed``, trained
+    under ``seed`` over ``base``'s frozen backbone; ``base`` itself is left as it was."""
+    adapters = init_adapters(
+        base.config, part.num_experts, cfg.adapter_dim, cfg.adapter_placement,
+        cfg.adapter_nonlinearity, init_seed,
+    )
+    return train(
+        ModelState(config=base.config, backbone=base.backbone, adapters=adapters, frozen=True),
+        corpus, part, steps=cfg.train_steps, batch_size=cfg.train_batch_size,
+        resample=cfg.train_resample, lr=cfg.train_lr, seed=seed, quota=cfg.train_quota,
+        cond_dropout=cfg.train_cond_dropout, trace_interval=cfg.train_trace_interval,
+    )
+
+
+def sample_classes(
+    cfg: ExperimentConfig, state: ModelState, corpus: Corpus, part: Partition,
+    counts: list[int], root: int, label: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``counts[i]`` rows of class ``corpus.classes[i]`` from its expert, guided by its unit
+    vector under ``derive_seed(root, label, class_id)``; returns the rows and their class ids."""
+    experts = class_to_expert(part, corpus)
+    rows = [
+        sample_batch(
+            state, _unit_class_vector(spec.class_id, corpus.seed, corpus.embedding_dim),
+            experts[spec.class_id], cfg.sample_guidance_scale, cfg.sample_steps, count,
+            derive_seed(root, label, spec.class_id),
+        )
+        for spec, count in zip(corpus.classes, counts)
+    ]
+    return np.vstack(rows), np.repeat([spec.class_id for spec in corpus.classes], counts)
 
 
 def _datagen(ctx: RunContext) -> None:
@@ -224,17 +279,10 @@ def _partition(ctx: RunContext) -> None:
 def _train(ctx: RunContext) -> None:
     cfg, root, out = ctx.cfg, ctx.root, ctx.out
     corpus, part = ctx.train_corpus(), ctx.expert_partition()
-    state = pretrained_backbone(cfg, corpus, root)
-    state.adapters = init_adapters(
-        state.config, part.num_experts, cfg.adapter_dim, cfg.adapter_placement,
-        cfg.adapter_nonlinearity, derive_seed(root, "adapters"),
-    )
-    trained, ledger, traces = train(
-        state, corpus, part,
-        steps=cfg.train_steps, batch_size=cfg.train_batch_size,
-        resample=cfg.train_resample, lr=cfg.train_lr,
-        seed=derive_seed(root, "train"), quota=cfg.train_quota,
-        cond_dropout=cfg.train_cond_dropout, trace_interval=cfg.train_trace_interval,
+    base = pretrained_backbone(cfg, corpus, derive_seed(root, "backbone"),
+                               derive_seed(root, "pretrain"))
+    trained, ledger, traces = fine_tune(
+        cfg, base, corpus, part, derive_seed(root, "adapters"), derive_seed(root, "train")
     )
     save_checkpoint(trained, out / "checkpoint.npz")
     (out / "ledger.json").write_text(ledger_json(ledger))
@@ -243,22 +291,12 @@ def _train(ctx: RunContext) -> None:
 
 
 def _sample(ctx: RunContext) -> None:
-    cfg, corpus = ctx.cfg, ctx.train_corpus()
-    experts = class_to_expert(ctx.expert_partition(), corpus)
-    trained = ctx.trained_state()
-    vectors = []
-    classes = []
-    bound = max(c.class_id for c in corpus.classes) + 1  # explicit class ids may be sparse
-    for spec in corpus.classes:
-        cond = label_embedding(spec.class_id, bound, corpus.seed, corpus.embedding_dim)
-        xs = sample_batch(
-            trained, cond, experts[spec.class_id], cfg.sample_guidance_scale,
-            cfg.sample_steps, cfg.sample_per_class,
-            derive_seed(ctx.root, "sample", spec.class_id),
-        )
-        vectors.append(xs)
-        classes.extend([spec.class_id] * cfg.sample_per_class)
-    save_samples(ctx.out / "generated.txt", np.vstack(vectors), np.array(classes))
+    cfg, corpus, part = ctx.cfg, ctx.train_corpus(), ctx.expert_partition()
+    rows, classes = sample_classes(
+        cfg, ctx.trained_state(), corpus, part, [cfg.sample_per_class] * corpus.num_classes,
+        ctx.root, "sample",
+    )
+    save_samples(ctx.out / "generated.txt", rows, classes)
 
 
 def _features(corpus: Corpus, tag: str) -> FeatureSet:

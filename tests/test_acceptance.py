@@ -9,6 +9,7 @@ budgets on commodity hardware.
 import itertools
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import scipy.stats
@@ -26,13 +27,7 @@ from oracles import (
     retrieval_brute,
 )
 from tailflow.config import ExperimentConfig
-from tailflow.datagen import (
-    blob_specs,
-    chest_longtail_specs,
-    generate_corpus,
-    label_embedding,
-    tail8_specs,
-)
+from tailflow.datagen import blob_specs, chest_longtail_specs, generate_corpus, tail8_specs
 from tailflow.metrics import (
     FeatureSet,
     coverage,
@@ -55,20 +50,14 @@ from tailflow.model import (
 )
 from tailflow.partition import (
     bisecting_kmeans_partition,
-    class_to_expert,
     label_tier_partition,
     partition_conflict,
     random_partition,
     single_partition,
 )
-from tailflow.pipeline import run_pipeline
+from tailflow.pipeline import fine_tune, pretrained_backbone, run_pipeline, sample_classes
 from tailflow.seeding import derive_seed, rng_for
-from tailflow.training import (
-    assemble_batch,
-    measure_conflict_reduction,
-    pretrain_backbone,
-    train,
-)
+from tailflow.training import assemble_batch, measure_conflict_reduction, pretrain_backbone
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -254,37 +243,25 @@ def test_criterion_6_bisection_monotonicity_and_optimum():
            ok, f"objective {achieved:.6f} vs optimum {best:.6f}")
 
 
+_RUN_7 = ExperimentConfig(adapter_dim=8, train_pretrain_steps=200, train_steps=600,
+                          train_lr=0.03, sample_guidance_scale=1.0)
+
+
 def _resample_pair(seed: int, recorder):
     corpus = generate_corpus(chest_longtail_specs(2000), 2, seed=derive_seed(seed, "c"))
     part = label_tier_partition(corpus, 4)
-    cfg = BackboneConfig(data_dim=2, hidden_dim=32, num_blocks=2, cond_dim=16,
-                         time_embed_dim=8)
-    base = ModelState(config=cfg, backbone=init_backbone(cfg, derive_seed(seed, "b")),
-                      adapters=None, frozen=False)
-    base = pretrain_backbone(base, corpus, 200, 8, 0.01, derive_seed(seed, "p"))
-    total_gen = 1200
-    counts = {c.class_id: max(1, round(total_gen * c.count / len(corpus)))
-              for c in corpus.classes}
+    base = pretrained_backbone(_RUN_7, corpus, derive_seed(seed, "b"), derive_seed(seed, "p"))
+    counts = [max(1, round(1200 * c.count / len(corpus))) for c in corpus.classes]
+    train_feats = fs(corpus.x_matrix(), "train", corpus.class_ids())
     out = {}
     for resample in (False, True):
-        st = ModelState(config=cfg, backbone=base.backbone,
-                        adapters=init_adapters(cfg, 4, 8, "all", "gelu",
-                                               derive_seed(seed, "a")), frozen=True)
         recorder.active = resample
-        trained, ledger, _ = train(st, corpus, part, steps=600, batch_size=8,
-                                   resample=resample, lr=0.03, seed=derive_seed(seed, "t"))
+        trained, ledger, _ = fine_tune(replace(_RUN_7, train_resample=resample), base, corpus,
+                                       part, derive_seed(seed, "a"), derive_seed(seed, "t"))
         recorder.active = False
-        c2e = class_to_expert(part, corpus)
-        vecs, cls = [], []
-        for spec in corpus.classes:
-            cond = label_embedding(spec.class_id, corpus.num_classes, corpus.seed, 16)
-            xs = sample_batch(trained, cond, c2e[spec.class_id], 1.0, 16,
-                              counts[spec.class_id], derive_seed(seed, "s", spec.class_id))
-            vecs.append(xs)
-            cls.extend([spec.class_id] * counts[spec.class_id])
-        gen = fs(np.vstack(vecs), "generated", np.array(cls))
-        train_feats = fs(corpus.x_matrix(), "train", corpus.class_ids())
-        out[resample] = (ledger.gap(), coverage(train_feats, gen, 5))
+        rows, classes = sample_classes(_RUN_7, trained, corpus, part, counts, seed, "s")
+        gen = fs(rows, "generated", classes)
+        out[resample] = (ledger.gap(), coverage(train_feats, gen, _RUN_7.metrics_k))
     return out
 
 
@@ -292,8 +269,7 @@ class _BatchRecorder:
     """Wraps assemble_batch to check the expert-presence guarantee on every
     resampled batch of the actual training runs."""
 
-    def __init__(self, num_experts):
-        self.num_experts = num_experts
+    def __init__(self):
         self.active = False
         self.violations = 0
         self.batches = 0
@@ -312,7 +288,7 @@ class _BatchRecorder:
 
 
 def test_criterion_7_resampling_guarantees(monkeypatch):
-    recorder = _BatchRecorder(4)
+    recorder = _BatchRecorder()
     monkeypatch.setattr(training_mod, "assemble_batch", recorder)
     gap_ok = band_ok = 0
     for seed in range(10):
@@ -328,44 +304,29 @@ def test_criterion_7_resampling_guarantees(monkeypatch):
            f"gap {gap_ok}/10, band {band_ok}/10")
 
 
+_RUN_8 = ExperimentConfig(train_pretrain_steps=100, train_steps=2000, train_lr=0.03,
+                          sample_steps=32, sample_guidance_scale=3.0, sample_per_class=200)
+
+
 def _experts_vs_single(seed: int):
     corpus = generate_corpus(tail8_specs(2000), 2, seed=derive_seed(seed, "corpus"))
     test = generate_corpus(tail8_specs(2000), 2, seed=derive_seed(seed, "test"))
-    cfg = BackboneConfig(data_dim=2, hidden_dim=32, num_blocks=2, cond_dim=16,
-                         time_embed_dim=8)
-    base = ModelState(config=cfg, backbone=init_backbone(cfg, derive_seed(seed, "bb")),
-                      adapters=None, frozen=False)
-    base = pretrain_backbone(base, corpus, 100, 8, 0.01, derive_seed(seed, "pre"))
+    base = pretrained_backbone(_RUN_8, corpus, derive_seed(seed, "bb"), derive_seed(seed, "pre"))
+    train_feats = fs(corpus.x_matrix(), "train", corpus.class_ids())
+    test_feats = fs(test.x_matrix(), "test", test.class_ids())
     out = {}
     param_counts = {}
-    for arm, (experts, width, partfn) in {
-        "experts": (4, 8, lambda c: label_tier_partition(c, 4)),
-        "single": (1, 32, lambda c: single_partition(c)),
-    }.items():
-        part = partfn(corpus)
-        st = ModelState(config=cfg, backbone=base.backbone,
-                        adapters=init_adapters(cfg, experts, width, "all", "gelu",
-                                               derive_seed(seed, "ad")), frozen=True)
-        param_counts[arm] = st.adapters.parameter_count()
-        trained, _, _ = train(st, corpus, part, steps=2000, batch_size=8, resample=False,
-                              lr=0.03, seed=derive_seed(seed, "tr"))
-        c2e = class_to_expert(part, corpus)
-        vecs, cls = [], []
-        for spec in corpus.classes:
-            cond = label_embedding(spec.class_id, 8, corpus.seed, 16)
-            xs = sample_batch(trained, cond, c2e[spec.class_id], 3.0, 32, 200,
-                              derive_seed(seed, "s", spec.class_id))
-            vecs.append(xs)
-            cls.extend([spec.class_id] * 200)
-        gen = fs(np.vstack(vecs), "generated", np.array(cls))
-        train_feats = fs(corpus.x_matrix(), "train", corpus.class_ids())
-        test_feats = fs(test.x_matrix(), "test", test.class_ids())
-        rep = evaluate(gen, train_feats, test_feats, k=5)
-        tails = [4, 5, 6, 7]
-        out[arm] = (
-            float(np.mean([rep.per_class[c]["coverage"] for c in tails])),
-            float(rep.irs_adjusted),
-        )
+    for arm, part, width in (("experts", label_tier_partition(corpus, 4), 8),
+                             ("single", single_partition(corpus), 32)):
+        cfg = replace(_RUN_8, adapter_dim=width)
+        trained, _, _ = fine_tune(cfg, base, corpus, part, derive_seed(seed, "ad"),
+                                  derive_seed(seed, "tr"))
+        param_counts[arm] = trained.adapters.parameter_count()
+        counts = [cfg.sample_per_class] * corpus.num_classes
+        rows, classes = sample_classes(cfg, trained, corpus, part, counts, seed, "s")
+        rep = evaluate(fs(rows, "generated", classes), train_feats, test_feats, k=cfg.metrics_k)
+        tail_coverage = np.mean([rep.per_class[c]["coverage"] for c in (4, 5, 6, 7)])
+        out[arm] = (float(tail_coverage), float(rep.irs_adjusted))
     assert param_counts["experts"] == param_counts["single"]
     return out
 

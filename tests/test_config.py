@@ -17,7 +17,7 @@ from tailflow.config import (
 )
 from tailflow.datagen import load_corpus
 from tailflow.model import _ACTIVATIONS
-from tailflow.partition import _METHODS
+from tailflow.partition import _METHODS, label_tier_classes
 from tailflow.pipeline import run_stage
 
 SAMPLE = """
@@ -78,6 +78,7 @@ def test_unknown_and_duplicate_keys_rejected():
 def test_explicit_class_specs():
     text = """
     corpus.dimension = 2
+    partition.method = embedding-kmeans
     class.0.mean = 0.0,0.0
     class.0.scale = 0.5
     class.0.count = 30
@@ -99,6 +100,7 @@ def test_explicit_class_specs():
 def test_explicit_classes_scale_to_the_test_size(tmp_path):
     text = """
     corpus.test_size = 5
+    partition.method = embedding-kmeans
     class.0.mean = 0.0,0.0
     class.0.scale = 0.5
     class.0.count = 40
@@ -167,6 +169,11 @@ def _two_classes(first: str) -> str:
     return "\n".join([first, *(f"{k} = {v}" for k, v in keys.items())])
 
 
+def _three_classes(*extra: str) -> str:
+    return "\n".join([*extra, *(f"class.{c}.mean = {c}.0,0.0\nclass.{c}.scale = 1.0\n"
+                                 f"class.{c}.count = 50" for c in range(3))])
+
+
 @pytest.mark.parametrize("text, message", [
     ("train.lr = -1", "train.lr: must be > 0, got -1.0"),
     ("train.pretrain_lr = 0", "train.pretrain_lr: must be > 0, got 0.0"),
@@ -217,6 +224,15 @@ def _two_classes(first: str) -> str:
     (_two_classes("corpus.dimension = 3"), "class.0.mean: 2 values for dimension 3"),
     (_two_classes("class.1.healthy = true\nclass.0.healthy = true"),
      "class.1.healthy: at most one class may be healthy, and class 0 is"),
+    # label tiers: K 3 or 4, a healthy class at K = 4, and three tiered classes
+    ("partition.experts = 2", r"partition.method = label-tier: label tiers support K in \{3, 4\}"),
+    ("partition.experts = 5", r"partition.method = label-tier: label tiers support K in \{3, 4\}"),
+    (_three_classes(), "partition.method = label-tier: K = 4 label tiers require a designated "
+                       "healthy class"),
+    (_two_classes("partition.experts = 3"),
+     "partition.method = label-tier: label tiers need 3 tiered classes, got 2"),
+    (_three_classes("class.0.healthy = true"),
+     "partition.method = label-tier: label tiers need 3 tiered classes, got 2"),
 ])
 def test_load_rejects_bad_values(text, message):
     with pytest.raises(ValueError, match=message):
@@ -226,7 +242,7 @@ def test_load_rejects_bad_values(text, message):
 def test_metrics_k_loads_up_to_the_largest_train_class_minus_one():
     assert ExperimentConfig.from_flat(parse_config_text("metrics.k = 1216")).metrics_k == 1216
     text = ("class.0.mean = 0.0\nclass.0.scale = 1.0\nclass.0.count = 5\nmetrics.k = 4\n"
-            "corpus.dimension = 1")
+            "corpus.dimension = 1\npartition.method = single")
     assert ExperimentConfig.from_flat(parse_config_text(text)).metrics_k == 4
 
 def test_list_placement_loads_as_its_text_and_round_trips():
@@ -309,9 +325,16 @@ def configs(draw):
         classes[f"class.{cid}.scale"] = draw(st.floats(0.0, 10.0, exclude_min=True))
         classes[f"class.{cid}.count"] = draw(st.integers(1, 10**6))
         classes[f"class.{cid}.healthy"] = cid == healthy
+    if values["partition_method"] == "label-tier":
+        values["partition_experts"] = draw(st.sampled_from([3, 4]))
     cfg = ExperimentConfig(**values, explicit_classes=classes)
+    specs = class_specs_from_config(replace(cfg, corpus_dimension=1))
+    try:
+        label_tier_classes(specs, cfg.partition_experts)
+    except ValueError:  # too few classes for the tiers, or K = 4 without a healthy one
+        assume(cfg.partition_method != "label-tier")
     # metrics.k leaves k + 1 members in some class of the train split
-    largest = max(s.count for s in class_specs_from_config(replace(cfg, corpus_dimension=1)))
+    largest = max(s.count for s in specs)
     assume(largest >= 2)
     return replace(cfg, metrics_k=draw(st.integers(1, largest - 1)))
 

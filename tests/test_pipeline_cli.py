@@ -10,7 +10,18 @@ import tailflow.metrics as metrics_mod
 from tailflow.cli import main
 from tailflow.config import ExperimentConfig
 from tailflow.errors import SchemaMismatchError, StageError
-from tailflow.pipeline import RunManifest, compare_runs, run_pipeline, run_stage
+from tailflow.datagen import load_corpus
+from tailflow.partition import load_partition
+from tailflow.pipeline import (
+    ARTIFACTS,
+    RunManifest,
+    compare_runs,
+    fine_tune,
+    pretrained_backbone,
+    run_pipeline,
+    run_stage,
+)
+from tailflow.training import ledger_json
 
 SMOKE = ExperimentConfig(
     seeds=[42],
@@ -76,6 +87,22 @@ class TestPipeline:
         assert read == ["generated.txt"]
         out, _, _ = smoke_run
         assert (tmp_path / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
+
+    def test_fine_tune_leaves_its_base_as_it_was(self, smoke_run):
+        # criterion 8 fine-tunes both of its arms from one base
+        out, _, _ = smoke_run
+        corpus = load_corpus(out / "train_corpus.txt")
+        part = load_partition(out / "partition.txt", corpus)
+        base = pretrained_backbone(SMOKE, corpus, 1, 2)
+        before = {k: v.tobytes() for k, v in base.backbone.items()}
+        (first, first_ledger, _), (second, second_ledger, _) = (
+            fine_tune(SMOKE, base, corpus, part, 3, 4) for _ in range(2)
+        )
+        assert first.adapters.w1.tobytes() == second.adapters.w1.tobytes()
+        assert first.adapters.w2.tobytes() == second.adapters.w2.tobytes()
+        assert ledger_json(first_ledger) == ledger_json(second_ledger)
+        assert {k: v.tobytes() for k, v in base.backbone.items()} == before
+        assert base.adapters is None
 
     def test_guidance_scale_five_parses_and_runs(self, smoke_run):
         out, _, _ = smoke_run
@@ -209,7 +236,8 @@ class TestCli:
                                              ((0.0, 3.0), 20), ((3.0, 3.0), 10)]):
             classes.update({f"class.{cid}.mean": list(mean), f"class.{cid}.scale": 0.5,
                             f"class.{cid}.count": count})
-        no_healthy = ExperimentConfig(**{**SMOKE.__dict__, "explicit_classes": classes})
+        no_healthy = ExperimentConfig(**{**SMOKE.__dict__, "explicit_classes": classes,
+                                         "partition_method": "embedding-kmeans"})
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(no_healthy.to_text())
         out = tmp_path / "work"
@@ -334,6 +362,44 @@ class TestCli:
         assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_label_tier_preconditions_fail_at_load(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMOKE_TEXT.replace("partition.experts = 4", "partition.experts = 2"))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+        message = "error: partition.method = label-tier: label tiers support K in {3, 4}, got 2"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "analyze-conflicts"])
+    def test_a_failed_command_removes_the_out_it_made(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMOKE_TEXT)
+        out = tmp_path / "fresh" / "run"
+        # no corpus to read: the stage fails before it writes
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "fresh").exists()
+
+    def test_a_failed_command_keeps_an_out_it_found_or_wrote_to(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMOKE_TEXT)
+        found = tmp_path / "found"
+        found.mkdir()
+        assert main(["evaluate", "--config", str(cfg_path), "--out", str(found)]) == 2
+        assert found.is_dir()
+
+        def fail(*args, **kwargs):
+            raise ValueError("no partition")
+
+        monkeypatch.setattr("tailflow.pipeline.build_partition", fail)
+        out = tmp_path / "fresh"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert {p.name for p in out.iterdir()} == {"manifest.json", *ARTIFACTS["datagen"]}
+        capsys.readouterr()
 
     def test_run_pipeline_rejects_a_negative_seed_before_making_out(self, tmp_path):
         with pytest.raises(ValueError, match="seed: must be >= 0, got -3"):
