@@ -30,17 +30,24 @@ of the same shapes, so an SGD step is one subtraction per tensor.
 
 Forward and backward passes are hand-written numpy, one of each, and each
 runs once per batch: ``_forward`` (behind ``model_forward``, the sampler and
-the probe) and ``_backward``. ``_route`` sorts the rows by expert once, with
-a stable sort, so each expert owns one contiguous slice of the batch. The
-shared backbone runs on all rows, and an adapted block adds expert k's
-W2 sigma(W1 h) to its own slice, one matmul per routed expert, the way
-S-LoRA and Punica serve many adapters in one batch. The backward returns,
-per adapted block, the factors whose products are the adapter gradients;
-``flow_matching_loss`` sums them over each expert's slice and
-``per_sample_probe_gradients`` keeps one outer product per sample. Experts
-that route no sample of a batch get exact-zero gradients, and the backbone
-gets gradients only when it is explicitly unfrozen, which the fine-tuning
-contract forbids.
+the probe) and ``_backward``. The forward is the input projection
+``_embed``, then the block loop ``_run_blocks``. ``_route`` sorts the rows
+by expert once, with a stable sort, so each expert owns one contiguous slice
+of the batch. The shared backbone runs on all rows, and an adapted block
+adds expert k's W2 sigma(W1 h) to its own slice, one matmul per routed
+expert, the way S-LoRA and Punica serve many adapters in one batch. The
+backward returns, per adapted block, the factors whose products are the
+adapter gradients; the loss core ``_loss`` multiplies them out over each
+expert's slice and ``per_sample_probe_gradients`` keeps one outer product
+per sample. Experts that route no sample of a batch get exact-zero
+gradients, and the backbone gets gradients only when it is explicitly
+unfrozen, which the fine-tuning contract forbids.
+
+``_loss_inputs`` takes a block of steps' draws and batches on a leading axis
+and computes at once what reads no trained weight: x_t, targets, the sort
+by expert and, over a frozen backbone, the forward up to the first adapted
+block's backbone branch (a stacked matmul runs the per-step gemm, so each
+step keeps its bits). ``flow_matching_loss`` is a block of one step.
 
 The GELU's ``erf`` is scipy's compiled ufunc, loaded from the extension
 module ``scipy.special._special_ufuncs`` alone. Importing the scipy.special
@@ -53,6 +60,7 @@ reuses it and ``scipy.special.erf`` is the same object.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import json
@@ -119,13 +127,22 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # x * (0.5 (1 + erf)) equals 0.5 x (1 + erf) bit for bit; the backward reuses the cdf
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    cdf = x / _SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     return x * cdf, cdf
 
 
 def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return cdf + x * pdf
+    # cdf + x * pdf with pdf = exp(-0.5 x x) / sqrt(2 pi), in place
+    grad = -0.5 * x
+    grad *= x
+    np.exp(grad, out=grad)
+    grad *= _INV_SQRT_2PI
+    grad *= x
+    grad += cdf
+    return grad
 
 
 def _relu(x: np.ndarray) -> tuple[np.ndarray, None]:
@@ -292,33 +309,38 @@ def init_adapters(
 
 
 def time_features(t: np.ndarray, dim: int) -> np.ndarray:
-    half = dim // 2
+    """Sinusoidal features of times of any shape, along a new last axis."""
+    ang = np.asarray(t, dtype=np.float64)[..., None] * _freqs(dim // 2)
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
+
+
+@functools.lru_cache(maxsize=16)  # one entry per time_embed_dim in use
+def _freqs(half: int) -> np.ndarray:
     freqs = np.exp(np.arange(half) * (math.log(1000.0) / max(half - 1, 1)))
-    ang = np.asarray(t, dtype=np.float64)[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+    freqs.flags.writeable = False
+    return freqs
 
 
-def _route(state: ModelState, expert_ids, n: int) -> tuple[np.ndarray | slice, Slices]:
-    """Stable sort of n rows by expert, and each routed expert's contiguous
-    slice of the sorted rows. Without adapters expert ids are ignored and
-    there are no slices."""
+def _route(
+    state: ModelState, expert_ids, shape: tuple[int, int]
+) -> tuple[np.ndarray | None, list[Slices]]:
+    """The stable sort by expert of each row of a (steps, n) block of expert
+    ids, and each routed expert's contiguous slice of each sorted row.
+    Without adapters expert ids are ignored: no sort (None) and no slices."""
     if state.adapters is None:
-        return slice(None), []
+        return None, [[] for _ in range(shape[0])]
     if expert_ids is None:
         raise ValueError("expert_ids required when adapters are attached")
     ids = np.asarray(expert_ids)
-    if ids.shape != (n,):
-        raise ValueError(f"expert_ids shape {ids.shape}, expected ({n},)")
+    if ids.shape != shape:
+        raise ValueError(f"expert_ids shape {ids.shape}, expected {shape}")
     K = state.adapters.num_experts
     if ids.dtype.kind not in "iu" or np.any((ids < 0) | (ids >= K)):
         raise ValueError(f"expert ids {np.unique(ids)} out of range for {K} experts")
-    slices, start = [], 0
-    for k, count in enumerate(np.bincount(ids, minlength=K).tolist()):
-        if count:
-            slices.append((k, slice(start, start + count)))
-        start += count
-    # with one routed expert the stable sort is the identity
-    return (slice(None) if len(slices) == 1 else np.argsort(ids, kind="stable")), slices
+    counts = (ids[..., None] == np.arange(K)).sum(axis=1)
+    slices = [[(k, slice(end - count, end)) for k, (count, end) in enumerate(zip(cs, es)) if count]
+              for cs, es in zip(counts.tolist(), counts.cumsum(axis=1).tolist())]
+    return np.argsort(ids, axis=1, kind="stable"), slices
 
 
 def _segment_matmul(x: np.ndarray, weights: np.ndarray, slices: Slices) -> np.ndarray:
@@ -327,8 +349,18 @@ def _segment_matmul(x: np.ndarray, weights: np.ndarray, slices: Slices) -> np.nd
         return x @ weights[slices[0][0]]
     out = np.empty((len(x), weights.shape[2]))
     for k, rows in slices:
-        out[rows] = x[rows] @ weights[k]
+        np.matmul(x[rows], weights[k], out=out[rows])
     return out
+
+
+def _embed(state: ModelState, X: np.ndarray, tau: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The input projection of rows of any leading shape."""
+    p = state.backbone
+    h = X @ p["w_in"].T
+    h += tau @ p["w_time"].T
+    h += C @ p["w_cond"].T
+    h += p["b_in"]
+    return h
 
 
 def _forward(
@@ -336,29 +368,48 @@ def _forward(
 ) -> tuple[np.ndarray, dict]:
     """The batched forward over rows sorted by expert (see ``_route``): the
     velocity predictions and the cache ``_backward`` reads."""
-    cfg = state.config
+    tau = time_features(T, state.config.time_embed_dim)
+    return _run_blocks(state, _embed(state, X, tau, C), slices, {"X": X, "tau": tau, "C": C})
+
+
+def _run_blocks(
+    state: ModelState, h: np.ndarray, slices: Slices, cache: dict,
+    first: int = 0, frozen_sum: np.ndarray | None = None,
+) -> tuple[np.ndarray, dict]:
+    """``_forward`` from block ``first``'s input ``h`` on; ``cache`` holds the
+    forward's inputs. ``frozen_sum`` is block ``first``'s h + F(h) if known."""
     p = state.backbone
     stack = state.adapters
-    tau = time_features(T, cfg.time_embed_dim)
-    h = X @ p["w_in"].T + tau @ p["w_time"].T + C @ p["w_cond"].T + p["b_in"]
-    cache = {"X": X, "tau": tau, "C": C, "h": [h], "blocks": [], "slices": slices}
-    for l in range(cfg.num_blocks):
-        a = h @ p[f"block{l}.v"].T + p[f"block{l}.c"]
-        g, cdf = _gelu(a)
-        f = g @ p[f"block{l}.u"].T + p[f"block{l}.e"]
-        entry = {"a": a, "g": g, "cdf": cdf}
+    cache.update(h=[None] * first + [h], blocks=[{}] * first, slices=slices)
+    for l in range(first, state.config.num_blocks):
+        entry, f = {}, frozen_sum if l == first else None
+        if f is None:
+            entry["a"], entry["g"], entry["cdf"], f = _backbone_block(p, l, h)
         if stack is not None and l in stack.placement:
             j = stack.placement.index(l)
             act, _ = _ACTIVATIONS[stack.nonlinearity]
             y = _segment_matmul(h, stack.w1[:, j].transpose(0, 2, 1), slices)
             z, saved = act(y)
             entry.update(y=y, z=z, saved=saved)
-            h = h + f + _segment_matmul(z, stack.w2[:, j].transpose(0, 2, 1), slices)
-        else:
-            h = h + f
+            f = f + _segment_matmul(z, stack.w2[:, j].transpose(0, 2, 1), slices)
+        h = f
         cache["blocks"].append(entry)
         cache["h"].append(h)
-    return h @ p["w_out"].T + p["b_out"], cache
+    out = h @ p["w_out"].T
+    out += p["b_out"]
+    return out, cache
+
+
+def _backbone_block(p: dict[str, np.ndarray], l: int, h: np.ndarray):
+    """Block l's backbone branch on rows of any leading shape: its
+    pre-activation, GELU and cdf, and the residual sum h + F_l(h)."""
+    a = h @ p[f"block{l}.v"].T
+    a += p[f"block{l}.c"]
+    g, cdf = _gelu(a)
+    f = g @ p[f"block{l}.u"].T
+    f += p[f"block{l}.e"]
+    f += h
+    return a, g, cdf, f
 
 
 def _backward(
@@ -378,7 +429,8 @@ def _backward(
     cfg = state.config
     p = state.backbone
     stack, slices = state.adapters, cache["slices"]
-    bottom = 0 if backbone_grads is not None or stack is None else min(stack.placement, default=0)
+    placement = () if stack is None else stack.placement
+    bottom = 0 if backbone_grads is not None else min(placement, default=cfg.num_blocks)
 
     h_last = cache["h"][-1]
     if backbone_grads is not None:
@@ -390,26 +442,27 @@ def _backward(
     for l in reversed(range(bottom, cfg.num_blocks)):
         entry = cache["blocks"][l]
         h_in = cache["h"][l]
-        dh_ad = 0.0
         if "y" in entry:
             j = stack.placement.index(l)
             _, act_grad = _ACTIVATIONS[stack.nonlinearity]
-            dz = _segment_matmul(dh, stack.w2[:, j], slices)
-            dy = dz * act_grad(entry["y"], entry["saved"])
+            dy = _segment_matmul(dh, stack.w2[:, j], slices)
+            dy *= act_grad(entry["y"], entry["saved"])
             factors[j] = (dh, entry["z"], dy, h_in)
             if backbone_grads is None and l == bottom:
                 break
-            dh_ad = _segment_matmul(dy, stack.w1[:, j], slices)
 
-        dg = dh @ p[f"block{l}.u"]
-        da = dg * _gelu_grad(entry["a"], entry["cdf"])
+        da = dh @ p[f"block{l}.u"]
+        da *= _gelu_grad(entry["a"], entry["cdf"])
         if backbone_grads is not None:
             backbone_grads[f"block{l}.u"] += dh.T @ entry["g"]
             backbone_grads[f"block{l}.e"] += dh.sum(axis=0)
             backbone_grads[f"block{l}.v"] += da.T @ h_in
             backbone_grads[f"block{l}.c"] += da.sum(axis=0)
-        dh_ff = da @ p[f"block{l}.v"]
-        dh = dh + dh_ff + dh_ad
+        dh_next = da @ p[f"block{l}.v"]
+        dh_next += dh  # dh + dh_ff, then + dh_ad; dh itself may be an adapter factor
+        if "y" in entry:
+            dh_next += _segment_matmul(dy, stack.w1[:, j], slices)
+        dh = dh_next
 
     if backbone_grads is not None:
         backbone_grads["w_in"] += dh.T @ cache["X"]
@@ -445,7 +498,9 @@ def model_forward(
         raise ValueError(f"row counts differ: X {X.shape}, T {T.shape}, C {C.shape}")
     if not np.all((T >= 0.0) & (T <= 1.0)):
         raise ValueError(f"t must be in [0, 1], got values in [{T.min()}, {T.max()}]")
-    order, slices = _route(state, expert_ids, len(X))
+    order, [slices] = _route(state, None if expert_ids is None else np.asarray(expert_ids)[None],
+                             (1, len(X)))
+    order = slice(None) if order is None else order[0]
     out = np.empty((len(X), cfg.data_dim))
     out[order] = _forward(state, X[order], T[order], C[order], slices)[0]
     return out
@@ -465,43 +520,89 @@ def flow_matching_loss(
     dropout mask) so runs are reproducible. With a frozen backbone the
     returned gradients cover adapters only.
     """
+    draws = _draws(rng_for(seed, "flow-loss"), len(batch.experts), state.config.data_dim,
+                   cond_dropout)
+    step = (*draws, batch.x, batch.cond, batch.experts)
+    return _loss(state, _loss_inputs(state, *(np.asarray(a)[None] for a in step)), 0)
+
+
+def _draws(rng: np.random.Generator, n: int, data_dim: int, cond_dropout: float):
+    """One step's t, x0 and conditioning keep mask, drawn in that order; no
+    mask is drawn without dropout."""
+    t = rng.uniform(0.0, 1.0, size=n)
+    x0 = rng.standard_normal((n, data_dim))
+    if cond_dropout > 0.0:
+        return t, x0, rng.uniform(0.0, 1.0, size=n) >= cond_dropout
+    return t, x0, np.ones(n, dtype=bool)
+
+
+@dataclass
+class _Steps:
+    """A block of B loss steps of n rows, each step's rows sorted by expert."""
+
+    x_t: np.ndarray  # (B, n, data_dim)
+    t: np.ndarray  # (B, n)
+    cond: np.ndarray  # (B, n, cond_dim), dropped rows zeroed
+    target: np.ndarray  # (B, n, data_dim)
+    slices: list[Slices]
+    # projected: the first adapted block, its input h and h + F(h)
+    first: int = 0
+    h: np.ndarray | None = None
+    frozen_sum: np.ndarray | None = None
+
+
+def _loss_inputs(
+    state: ModelState, t, x0, keep, x1, cond, experts, project: bool = False
+) -> _Steps:
+    """What of a block of steps' losses reads no trained weight (see the
+    module docstring), from their draws and batches stacked as (B, n, ...)
+    arrays; the forward's frozen prefix only with ``project``."""
     if state.adapters is not None and not state.frozen:
         raise ContractViolationError(
             "adapter fine-tuning requires a frozen backbone; unfreeze only for "
             "the no-adapter full-training control"
         )
-    cfg = state.config
-    experts, x1, cond = batch.experts, batch.x, batch.cond
-    n = len(experts)
+    x_t = (1.0 - t)[..., None] * x0 + t[..., None] * x1
+    target = x1 - x0
+    cond = np.where(keep[..., None], cond, 0.0)
+    order, slices = _route(state, experts, t.shape)
+    if order is not None:
+        rows = np.arange(len(order))[:, None]
+        x_t, t, cond, target = (a[rows, order] for a in (x_t, t, cond, target))
+    steps = _Steps(x_t, t, cond, target, slices)
+    if project:  # the last block stands in for the first adapted one if none is
+        steps.first = min(state.adapters.placement, default=state.config.num_blocks - 1)
+        steps.h = _embed(state, x_t, time_features(t, state.config.time_embed_dim), cond)
+        for l in range(steps.first):
+            steps.h = _backbone_block(state.backbone, l, steps.h)[3]
+        steps.frozen_sum = _backbone_block(state.backbone, steps.first, steps.h)[3]
+    return steps
 
-    rng = rng_for(seed, "flow-loss")
-    t = rng.uniform(0.0, 1.0, size=n)
-    x0 = rng.standard_normal((n, cfg.data_dim))
-    if cond_dropout > 0.0:
-        drop = rng.uniform(0.0, 1.0, size=n) < cond_dropout
-        cond = cond.copy()
-        cond[drop] = 0.0
 
-    x_t = (1.0 - t)[:, None] * x0 + t[:, None] * x1
-    v_target = x1 - x0
-
-    order, slices = _route(state, experts, n)
-    v_pred, cache = _forward(state, x_t[order], t[order], cond[order], slices)
-    resid = v_pred - v_target[order]
-    loss = float((resid * resid).mean())
-    d_pred = 2.0 * resid / resid.size
+def _loss(state: ModelState, steps: _Steps, b: int) -> tuple[float, LossGradients]:
+    """Step b's loss and gradients, from the weights as they are now."""
+    slices = steps.slices[b]
+    if steps.h is None:
+        resid, cache = _forward(state, steps.x_t[b], steps.t[b], steps.cond[b], slices)
+    else:
+        resid, cache = _run_blocks(state, steps.h[b], slices, {}, steps.first,
+                                   steps.frozen_sum[b])
+    resid -= steps.target[b]
+    loss = float((resid * resid).sum() / resid.size)
+    resid *= 2.0  # the loss's gradient, 2 resid / size
+    resid /= resid.size
 
     backbone_grads = None if state.frozen else {
         name: np.zeros_like(arr) for name, arr in state.backbone.items()
     }
-    factors = _backward(state, cache, d_pred, backbone_grads)
+    factors = _backward(state, cache, resid, backbone_grads)
     stack = state.adapters
-    grad_w1 = None if stack is None else np.zeros_like(stack.w1)
-    grad_w2 = None if stack is None else np.zeros_like(stack.w2)
+    grad_w1 = None if stack is None else np.zeros(stack.w1.shape)
+    grad_w2 = None if stack is None else np.zeros(stack.w2.shape)
     for j, (dh, z, dy, h_in) in factors.items():
         for k, rows in slices:
-            grad_w2[k, j] += dh[rows].T @ z[rows]
-            grad_w1[k, j] += dy[rows].T @ h_in[rows]
+            np.matmul(dh[rows].T, z[rows], out=grad_w2[k, j])
+            np.matmul(dy[rows].T, h_in[rows], out=grad_w1[k, j])
     return loss, LossGradients(w1=grad_w1, w2=grad_w2, backbone=backbone_grads)
 
 
@@ -529,13 +630,14 @@ def sample_batch(
     """Euler-integrate ``count`` trajectories from seeded noise to data."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if guidance_scale < 0:
-        raise ValueError("guidance_scale must be >= 0")
+    if not 0 <= guidance_scale < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"guidance_scale must be finite and >= 0, got {guidance_scale}")
     cond = np.asarray(cond, dtype=np.float64)
     if cond.shape != (state.config.cond_dim,):
         raise ValueError(f"cond shape {cond.shape}, expected ({state.config.cond_dim},)")
     # every row goes to one expert: a single slice, already in order
-    _, slices = _route(state, None if expert_id is None else np.full(count, expert_id), count)
+    _, [slices] = _route(state, None if expert_id is None else np.full((1, count), expert_id),
+                         (1, count))
     x = rng_for(seed, "sample-noise").standard_normal((count, state.config.data_dim))
     null, c = np.zeros((count, len(cond))), np.tile(cond, (count, 1))
     dt = 1.0 / steps

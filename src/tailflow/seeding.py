@@ -9,25 +9,28 @@ Changing any label or the root changes the stream; nothing else does.
 One stream goes through numpy's ``SeedSequence``: ``rng_for``,
 ``derive_seed`` and ``child_seed_sequence``. Many streams that differ only in
 a last int label, one per sample or per train step, go through ``rngs_for``
-and ``derive_seeds``. These run SeedSequence's ``mix_entropy`` and
-``generate_state`` (O'Neill's ``seed_seq``: fixed uint32 arithmetic) on a
-whole block of ``BLOCK`` entropy rows in one numpy pass, so each id gets
-exactly the stream that ``rng_for`` and ``derive_seed`` give it; the
-single-stream functions are the tests' oracle.
+and ``derive_seeds``; many that differ only in their root, one per train
+step's loss seed, go through ``rngs_for_roots``. These run SeedSequence's
+``mix_entropy`` and ``generate_state`` (O'Neill's ``seed_seq``: fixed uint32
+arithmetic) on a whole block of ``BLOCK`` entropy rows in one numpy pass, so
+each row gets exactly the stream that ``rng_for`` and ``derive_seed`` give
+it; the single-stream functions are the tests' oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-from collections.abc import Iterator, Sequence
+import itertools
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["child_seed_sequence", "rng_for", "derive_seed", "rngs_for", "derive_seeds", "BLOCK"]
+__all__ = ["child_seed_sequence", "rng_for", "derive_seed", "rngs_for", "derive_seeds",
+           "rngs_for_roots", "BLOCK"]
 
-BLOCK = 1024  # ids per pass of the batched path; it holds a few arrays of this length
+BLOCK = 1024  # rows per pass of the batched path; it holds a few arrays of this length
 
 # SeedSequence's pool size and hash constants
 _POOL = 4
@@ -79,15 +82,25 @@ def derive_seed(root: int, *labels: str | int) -> int:
 def rngs_for(root: int, *labels: str | int, ids: Sequence[int]) -> Iterator[np.random.Generator]:
     """``rng_for(root, *labels, i)`` for each ``i`` in ``ids``, one at a time.
     The root and labels are checked at the call, each id as its block is reached."""
-    states = _states(_entropy(root, labels), ids, 4)
-    return (np.random.Generator(np.random.PCG64(_Words(row))) for state in states for row in state)
+    return _generators(_states(_entropy(root, labels), ids, [], 4))
 
 
 def derive_seeds(root: int, *labels: str | int, ids: Sequence[int]) -> Iterator[int]:
     """``derive_seed(root, *labels, i)`` for each ``i`` in ``ids``, checked as
     ``rngs_for`` checks them."""
-    states = _states(_entropy(root, labels), ids, 1)
+    states = _states(_entropy(root, labels), ids, [], 1)
     return (seed for state in states for seed in (state[:, 0] >> 1).tolist())
+
+
+def rngs_for_roots(roots: Iterable[int], *labels: str | int) -> Iterator[np.random.Generator]:
+    """``rng_for(r, *labels)`` for each root ``r`` in ``roots``, one at a time; the
+    roots are read and checked ``BLOCK`` at a time, so they may come from
+    ``derive_seeds``."""
+    return _generators(_states([], roots, [_label_word(label) for label in labels], 4))
+
+
+def _generators(states: Iterator[np.ndarray]) -> Iterator[np.random.Generator]:
+    return (np.random.Generator(np.random.PCG64(_Words(row))) for state in states for row in state)
 
 
 class _Words(ISeedSequence):
@@ -100,13 +113,15 @@ class _Words(ISeedSequence):
         return self.words
 
 
-def _states(prefix: list[int], ids: Sequence[int], n_words: int) -> Iterator[np.ndarray]:
-    """``SeedSequence(prefix + [i]).generate_state(n_words, np.uint64)`` for
-    the ids, ``BLOCK`` at a time: each block as a (block, n_words) array."""
-    head = [word for value in prefix for word in _words(value)]
-    for start in range(0, len(ids), BLOCK):
-        entropy, lengths = _rows(head, ids[start:start + BLOCK])
-        yield _generate_state(_mix_entropy(entropy, lengths), n_words)
+def _states(
+    prefix: list[int], values: Iterable[int], suffix: list[int], n_words: int
+) -> Iterator[np.ndarray]:
+    """``SeedSequence(prefix + [v] + suffix).generate_state(n_words, np.uint64)``
+    for the values, ``BLOCK`` at a time: each block as a (block, n_words) array."""
+    head, tail = ([word for value in part for word in _words(value)] for part in (prefix, suffix))
+    values = iter(values)
+    while block := list(itertools.islice(values, BLOCK)):
+        yield _generate_state(_mix_entropy(*_rows(head, block, tail)), n_words)
 
 
 def _words(value: int) -> list[int]:
@@ -117,18 +132,22 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _rows(head: list[int], ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The entropy ``head + words(i)`` of each id as a column of a (width, n)
-    uint32 array, zero past a column's length, and the n lengths."""
-    values = np.array([_label_word(i) for i in ids], dtype=object)
-    tail = [values & _MASK]
+def _rows(head: list[int], values: list[int], tail: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The entropy ``head + words(v) + tail`` of each value as a column of a
+    (width, n) uint32 array, zero past a column's length, and the n lengths."""
+    values = np.array([_label_word(v) for v in values], dtype=object)
+    middle = [values & _MASK]
     lengths = np.full(len(values), len(head) + 1)
-    while (values := values >> 32).any():  # ids of 2**32 and more take more words
+    while (values := values >> 32).any():  # values of 2**32 and more take more words
         lengths += values != 0
-        tail.append(values & _MASK)
-    entropy = np.empty((len(head) + len(tail), len(lengths)), np.uint32)
+        middle.append(values & _MASK)
+    entropy = np.zeros((len(head) + len(middle) + len(tail), len(lengths)), np.uint32)
     entropy[: len(head)] = np.array(head, np.uint32)[:, None]
-    entropy[len(head):] = tail
+    entropy[len(head): len(head) + len(middle)] = middle
+    columns = np.arange(len(lengths))
+    for word in tail:  # the tail starts where each column's value ends
+        entropy[lengths, columns] = word
+        lengths += 1
     return entropy, lengths
 
 

@@ -296,6 +296,23 @@ def test_probe_gradient_rows_match_finite_differences(placement):
     assert np.max(np.abs(fd - rows)[checked] / scale[checked]) < 1e-4
 
 
+@pytest.mark.parametrize("hidden, n", [(32, 8), (8, 5), (64, 1)])
+def test_stacked_frozen_prefix_equals_each_step(hidden, n):
+    # train projects a block of steps' inputs, and runs their first backbone
+    # branch, in one stacked pass; each step must get the bits of its own pass
+    state = small_state(hidden=hidden, blocks=3, data_dim=2, cond_dim=16)
+    rng = rng_for(4, "stacked")
+    X, T = rng.standard_normal((16, n, 2)), rng.uniform(0.0, 1.0, (16, n))
+    C = rng.standard_normal((16, n, 16))
+    h = model_mod._embed(state, X, model_mod.time_features(T, 4), C)
+    branch = model_mod._backbone_block(state.backbone, 0, h)
+    for b in range(16):
+        h_b = model_mod._embed(state, X[b], model_mod.time_features(T[b], 4), C[b])
+        assert h[b].tobytes() == h_b.tobytes()
+        for got, want in zip(branch, model_mod._backbone_block(state.backbone, 0, h_b)):
+            assert got[b].tobytes() == want.tobytes()
+
+
 class TestFlowMatchingLoss:
     def test_perfect_predictor_gives_zero_loss(self, monkeypatch):
         # stub the network with an exact-target predictor reconstructed from
@@ -505,6 +522,12 @@ class TestSampling:
             sample_batch(state, np.zeros(4), 0, 1.0, steps=0, count=1, seed=0)
         with pytest.raises(ValueError):
             sample_batch(state, np.zeros(4), 0, -1.0, steps=4, count=1, seed=0)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_guidance_is_refused(self, scale):
+        # NaN passes a "< 0" test and would return rows that are all NaN
+        with pytest.raises(ValueError, match="guidance_scale must be finite and >= 0"):
+            sample_batch(small_state(), np.zeros(4), 0, scale, steps=4, count=2, seed=0)
 
 
 class TestPlacementParity:

@@ -15,6 +15,7 @@ from tailflow.seeding import (
     derive_seeds,
     rng_for,
     rngs_for,
+    rngs_for_roots,
 )
 
 
@@ -116,3 +117,26 @@ def test_batched_errors_are_the_oracles(root, labels, ids, error, message):
 def test_generators_come_one_at_a_time():
     streams = rngs_for(0, "embedding-jitter", ids=range(10**9))
     assert np.array_equal(next(streams).random(4), rng_for(0, "embedding-jitter", 0).random(4))
+
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**40),
+    steps=st.integers(0, 9),
+    small=st.lists(st.integers(0, 2**32 - 1), max_size=4),
+    block=st.integers(1, 4),
+)
+def test_each_row_has_its_own_root(seed, steps, small, block):
+    # train's loss streams are rng_for(derive_seed(seed, "loss", s), "flow-loss");
+    # those roots take two words, and one-word roots share their blocks here
+    loss_seeds = [derive_seed(seed, "loss", s) for s in range(steps)]
+    roots = [r for pair in zip(loss_seeds, small) for r in pair] + loss_seeds[len(small):]
+    with patch.object(seeding, "BLOCK", block):
+        streams = list(rngs_for_roots(roots, "flow-loss"))
+        chained = list(rngs_for_roots(derive_seeds(seed, "loss", ids=range(steps)), "flow-loss"))
+    assert len(streams) == len(roots) and len(chained) == steps
+    for root, rng in zip(roots, streams):
+        assert np.array_equal(rng.random(3), rng_for(root, "flow-loss").random(3))
+    for root, rng in zip(loss_seeds, chained):
+        assert np.array_equal(rng.random(3), rng_for(root, "flow-loss").random(3))

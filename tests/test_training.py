@@ -11,7 +11,14 @@ from oracles import mean_pairwise_conflict_brute
 
 from tailflow.datagen import ClassSpec, chest_longtail_specs, generate_corpus, tail8_specs
 from tailflow.errors import ContractViolationError, DegenerateInputError
-from tailflow.model import BackboneConfig, ModelState, init_adapters, init_backbone
+from tailflow.model import (
+    BackboneConfig,
+    ModelState,
+    flow_matching_loss,
+    init_adapters,
+    init_backbone,
+    sgd_step,
+)
 from tailflow.partition import (
     label_tier_partition,
     random_partition,
@@ -199,6 +206,62 @@ class TestTrain:
             train(bare, corpus, partition, 1, 8, False, 0.05, 0)
 
 
+    @pytest.mark.parametrize("placement, nonlinearity, experts, cond_dropout, resample, steps", [
+        ("all", "gelu", 3, 0.1, False, 21),
+        ("last:1", "gelu", 3, 0.0, True, 37),
+        ("1", "relu", 3, 0.1, True, 16),
+        ("all", "relu", 1, 0.0, False, 17),
+        ("1", "gelu", 1, 0.1, True, 5),
+        ("none", "gelu", 3, 0.1, False, 3),
+    ])
+    def test_train_equals_the_public_per_step_loop(
+        self, corpus, placement, nonlinearity, experts, cond_dropout, resample, steps
+    ):
+        # three blocks: "1" adapts the middle one, "last:1" the top one; step
+        # counts that are and are not whole blocks of training.STEP_BLOCK
+        three = replace(BB, num_blocks=3)
+        part = single_partition(corpus) if experts == 1 else random_partition(corpus, 3, seed=1)
+        state = make_state(corpus, pretrain=20, config=three)
+        state.adapters = init_adapters(three, experts, 4, placement, nonlinearity, seed=6)
+        out, ledger, traces = train(state, corpus, part, steps, 8, resample, 0.05, seed=11,
+                                    cond_dropout=cond_dropout, trace_interval=10)
+        ref = replace(state, adapters=copy.deepcopy(state.adapters))
+        ref_ledger = UtilizationLedger.empty(part.num_experts)
+        rng = rng_for(11, "batches")
+        for step in range(steps):
+            batch = assemble_batch(corpus, part, 8, resample, 3, rng, ref_ledger)
+            _, grads = flow_matching_loss(ref, batch, seed=derive_seed(11, "loss", step),
+                                          cond_dropout=cond_dropout)
+            sgd_step(ref, grads, 0.05)
+            ref_ledger.add(batch.experts)
+        assert out.adapters.w1.tobytes() == ref.adapters.w1.tobytes()
+        assert out.adapters.w2.tobytes() == ref.adapters.w2.tobytes()
+        assert (ledger.per_expert_counts, ledger.total) == (
+            ref_ledger.per_expert_counts, ref_ledger.total
+        )
+        assert [trace.step for trace in traces] == list(range(10, steps + 1, 10))
+
+    @pytest.mark.parametrize("steps, batch_size, name", [
+        (5, 0, "batch_size"), (5, -3, "batch_size"), (-1, 8, "steps"),
+    ])
+    def test_bad_step_and_batch_arguments_are_refused_first(
+        self, corpus, partition, monkeypatch, steps, batch_size, name
+    ):
+        # a batch size of 0 used to report "diverged: loss nan at step 0", and
+        # negative steps returned the untrained adapters
+        state = make_state(corpus, pretrain=1)
+        bare = ModelState(config=BB, backbone=init_backbone(BB, 0), adapters=None, frozen=False)
+
+        def no_batches(*args, **kwargs):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(training, "assemble_batch", no_batches)
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            train(state, corpus, partition, steps, batch_size, False, 0.05, 0)
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            pretrain_backbone(bare, corpus, steps, batch_size, 0.01, 0)
+
+
 class TestPretrain:
     def test_pretraining_updates_backbone_then_freezes(self, corpus):
         state = ModelState(config=BB, backbone=init_backbone(BB, 9), adapters=None, frozen=False)
@@ -224,6 +287,21 @@ class TestPretrain:
             training.sgd_step(ref, grads, 0.01)
         for k in state.backbone:
             assert np.array_equal(out.backbone[k], ref.backbone[k])
+
+    @pytest.mark.parametrize("steps, cond_dropout", [(37, 0.1), (16, 0.0)])
+    def test_pretraining_equals_the_public_per_step_loop(self, corpus, steps, cond_dropout):
+        state = ModelState(config=BB, backbone=init_backbone(BB, 9), adapters=None, frozen=False)
+        out = pretrain_backbone(state, corpus, steps, 8, 0.01, seed=2, cond_dropout=cond_dropout)
+        ref = replace(state, backbone={k: v.copy() for k, v in state.backbone.items()})
+        part = single_partition(corpus)
+        rng = rng_for(2, "batches")
+        for step in range(steps):
+            batch = assemble_batch(corpus, part, 8, False, 0, rng, None)
+            _, grads = flow_matching_loss(ref, batch, seed=derive_seed(2, "loss", step),
+                                          cond_dropout=cond_dropout)
+            sgd_step(ref, grads, 0.01)
+        for k in state.backbone:
+            assert out.backbone[k].tobytes() == ref.backbone[k].tobytes()
 
     def test_rejects_adapters(self, corpus):
         state = make_state(corpus)
