@@ -212,11 +212,11 @@ class ExperimentConfig:
         return self.seeds[0]
 
     def validate(self) -> None:
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
         for seed in self.seeds:
             if seed < 0:
                 raise ValueError(f"seeds: must be >= 0, got {seed}")
+        if len(self.seeds) != 1:  # a run reads one root seed; a list would drop the rest
+            raise ValueError(f"seeds: expected one seed, got {len(self.seeds)}")
         for op, bound, keys in _BOUNDS:
             for key in keys:
                 value = getattr(self, _KEYS[key])
@@ -231,6 +231,12 @@ class ExperimentConfig:
                 raise ValueError(f"{key}: expected class.<int >= 0>.<mean|scale|count|healthy>")
         if self.train_quota > self.train_batch_size:
             raise ValueError("train.quota exceeds train.batch_size")
+        # a resampled batch holds a row of each expert; single has one expert
+        if (self.train_resample and self.partition_method != "single"
+                and self.train_batch_size < self.partition_experts):
+            raise ValueError(f"train.batch_size: must be >= partition.experts "
+                             f"({self.partition_experts}) with train.resample = true, "
+                             f"got {self.train_batch_size}")
         if self.backbone_time_embed_dim % 2 != 0:
             raise ValueError(f"backbone.time_embed_dim: must be even (sin/cos pairs), "
                              f"got {self.backbone_time_embed_dim}")

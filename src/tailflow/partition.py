@@ -69,18 +69,17 @@ MAX_ITERS = 50
 
 @dataclass
 class Partition:
-    """Total map sample_id -> expert_id, with per-expert class composition."""
+    """Total map sample_id -> expert_id."""
 
     assignments: np.ndarray  # int64, indexed by sample_id
     num_experts: int
     method: str
-    composition: list[dict[int, int]]
 
     def members(self, expert_id: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == expert_id)
 
     def expert_sizes(self) -> list[int]:
-        return [int(np.sum(self.assignments == k)) for k in range(self.num_experts)]
+        return np.bincount(self.assignments, minlength=self.num_experts).tolist()
 
     def validate(self, corpus: Corpus) -> None:
         if self.method not in _METHODS:
@@ -93,8 +92,6 @@ class Partition:
             raise ValueError("single method implies one expert")
         if self.assignments.min() < 0 or self.assignments.max() >= self.num_experts:
             raise ValueError("expert id out of range")
-        if sum(sum(h.values()) for h in self.composition) != len(corpus):
-            raise ValueError("composition does not sum to corpus size")
 
 
 @dataclass
@@ -107,17 +104,7 @@ class ConflictScore:
 
 
 def _build(corpus: Corpus, assignments: np.ndarray, num_experts: int, method: str) -> Partition:
-    class_ids = corpus.class_ids()
-    composition: list[dict[int, int]] = []
-    for k in range(num_experts):
-        ids, counts = np.unique(class_ids[assignments == k], return_counts=True)
-        composition.append({int(c): int(n) for c, n in zip(ids, counts)})
-    part = Partition(
-        assignments=assignments.astype(np.int64),
-        num_experts=num_experts,
-        method=method,
-        composition=composition,
-    )
+    part = Partition(assignments.astype(np.int64), num_experts, method)
     part.validate(corpus)
     return part
 
@@ -382,20 +369,26 @@ def single_partition(corpus: Corpus) -> Partition:
     return _build(corpus, np.zeros(len(corpus), dtype=np.int64), 1, METHOD_SINGLE)
 
 
+def _class_expert_counts(partition: Partition, corpus: Corpus) -> np.ndarray:
+    """Samples per class and expert: one row per class, in ``corpus.classes``
+    order, and one column per expert."""
+    labels, K = corpus.class_ids(), partition.num_experts
+    return np.stack([np.bincount(partition.assignments[labels == c.class_id], minlength=K)
+                     for c in corpus.classes])
+
+
 def class_to_expert(partition: Partition, corpus: Corpus) -> dict[int, int]:
     """Majority expert per class (ties -> lowest expert id)."""
-    mapping: dict[int, int] = {}
-    class_ids = corpus.class_ids()
-    for c in corpus.classes:
-        mask = class_ids == c.class_id
-        experts, counts = np.unique(partition.assignments[mask], return_counts=True)
-        order = sorted(zip(-counts, experts))
-        mapping[c.class_id] = int(order[0][1])
-    return mapping
+    majority = _class_expert_counts(partition, corpus).argmax(axis=1)
+    return {c.class_id: int(k) for c, k in zip(corpus.classes, majority)}
 
 
 def composition_report(partition: Partition, corpus: Corpus) -> dict:
     """JSON-ready per-expert class histogram report."""
+    columns = [
+        {str(c.class_id): int(n) for c, n in zip(corpus.classes, col) if n}
+        for col in _class_expert_counts(partition, corpus).T
+    ]
     sizes = partition.expert_sizes()
     total = len(corpus)
     report = {
@@ -408,7 +401,7 @@ def composition_report(partition: Partition, corpus: Corpus) -> dict:
             str(k): {
                 "size": sizes[k],
                 "share": sizes[k] / total,
-                "class_counts": {str(c): n for c, n in sorted(partition.composition[k].items())},
+                "class_counts": columns[k],
             }
             for k in range(partition.num_experts)
         },

@@ -37,7 +37,6 @@ from .model import (
     _loss,
     _loss_inputs,
     _Steps,
-    flow_matching_loss,  # noqa: F401 -- train's one-step oracle, looked up here by tests
     init_adapters,
     per_sample_probe_gradients,
     sgd_step,
@@ -100,22 +99,23 @@ class TrainBatch:
 
 @dataclass
 class UtilizationLedger:
-    per_expert_counts: dict[int, int]
-    total: int = 0
+    """Rows routed to each expert, over every batch added."""
+
+    counts: np.ndarray  # (K,) int64
 
     @classmethod
     def empty(cls, num_experts: int) -> "UtilizationLedger":
-        return cls(per_expert_counts={k: 0 for k in range(num_experts)}, total=0)
+        return cls(np.zeros(num_experts, dtype=np.int64))
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
 
     def add(self, expert_ids: np.ndarray) -> None:
-        for k in expert_ids:
-            self.per_expert_counts[int(k)] += 1
-        self.total += len(expert_ids)
+        self.counts += np.bincount(expert_ids, minlength=len(self.counts))
 
     def percentages(self) -> dict[int, float]:
-        if self.total == 0:
-            return {k: 0.0 for k in self.per_expert_counts}
-        return {k: 100.0 * n / self.total for k, n in self.per_expert_counts.items()}
+        return dict(enumerate((100.0 * self.counts / max(self.total, 1)).tolist()))
 
     def gap(self) -> float:
         pct = list(self.percentages().values())
@@ -156,10 +156,10 @@ def assemble_batch(
     drawn = rng.integers(0, n, size=base)
     batch_counts = np.bincount(partition.assignments[drawn], minlength=K)
 
-    cumulative = ledger.per_expert_counts if ledger is not None else {k: 0 for k in range(K)}
+    cumulative = ledger.counts if ledger is not None else np.zeros(K, dtype=np.int64)
     clusters = {k: partition.members(k) for k in range(K)}
     # priority: absent-from-batch first, then least cumulative use, then id
-    order = sorted(range(K), key=lambda k: (batch_counts[k], cumulative.get(k, 0), k))
+    order = sorted(range(K), key=lambda k: (batch_counts[k], cumulative[k], k))
 
     extra: list[int] = []
     pos = 0
@@ -388,7 +388,7 @@ def measure_conflict_reduction(
 def ledger_json(ledger: UtilizationLedger) -> str:
     payload = {
         "format_version": LEDGER_VERSION,
-        "per_expert_counts": {str(k): n for k, n in sorted(ledger.per_expert_counts.items())},
+        "per_expert_counts": {str(k): n for k, n in enumerate(ledger.counts.tolist())},
         "total": ledger.total,
         "percent": {str(k): v for k, v in sorted(ledger.percentages().items())},
         "gap": ledger.gap(),

@@ -23,7 +23,7 @@ from tailflow.pipeline import run_stage
 SAMPLE = """
 # smoke experiment
 version = 1
-seeds = 42,43
+seeds = 42
 corpus.profile = tail8
 corpus.size = 400
 corpus.test_size = 200
@@ -35,7 +35,7 @@ sample.guidance_scale = 5.0
 
 def test_parse_and_types():
     flat = parse_config_text(SAMPLE)
-    assert flat["seeds"] == [42, 43]
+    assert flat["seeds"] == 42
     assert flat["corpus.size"] == 400
     assert flat["train.resample"] is True
     assert flat["sample.guidance_scale"] == 5.0
@@ -212,6 +212,7 @@ def _three_classes(*extra: str) -> str:
      "metrics.k: 5 needs a train class of at least 6 members; the largest has 5"),
     ("seeds = -1", "seeds: must be >= 0, got -1"),
     ("seeds = 3,-2", "seeds: must be >= 0, got -2"),
+    ("seeds = 3,5", "seeds: expected one seed, got 2"),
     (_two_classes("class.0.count = 0"), "class.0.count: must be >= 1, got 0"),
     # alone, the class is named before metrics.k is checked against it
     ("class.0.count = -5\nclass.0.mean = 0.0,0.0\nclass.0.scale = 1.0",
@@ -224,6 +225,9 @@ def _three_classes(*extra: str) -> str:
     (_two_classes("corpus.dimension = 3"), "class.0.mean: 2 values for dimension 3"),
     (_two_classes("class.1.healthy = true\nclass.0.healthy = true"),
      "class.1.healthy: at most one class may be healthy, and class 0 is"),
+    # resampling puts a row of each of the partition.experts experts in every batch
+    ("train.resample = true\ntrain.batch_size = 3\ntrain.quota = 2",
+     r"train.batch_size: must be >= partition.experts \(4\) with train.resample = true, got 3"),
     # label tiers: K 3 or 4, a healthy class at K = 4, and three tiered classes
     ("partition.experts = 2", r"partition.method = label-tier: label tiers support K in \{3, 4\}"),
     ("partition.experts = 5", r"partition.method = label-tier: label tiers support K in \{3, 4\}"),
@@ -244,6 +248,18 @@ def test_metrics_k_loads_up_to_the_largest_train_class_minus_one():
     text = ("class.0.mean = 0.0\nclass.0.scale = 1.0\nclass.0.count = 5\nmetrics.k = 4\n"
             "corpus.dimension = 1\npartition.method = single")
     assert ExperimentConfig.from_flat(parse_config_text(text)).metrics_k == 4
+
+
+def test_resampling_loads_with_one_batch_row_per_expert():
+    text = "train.resample = true\ntrain.quota = 1\n"
+    cfg = ExperimentConfig.from_flat(parse_config_text(text + "train.batch_size = 4"))
+    assert cfg.train_batch_size == cfg.partition_experts == 4
+    # single has one expert, whatever partition.experts says
+    cfg = ExperimentConfig.from_flat(
+        parse_config_text(text + "train.batch_size = 1\npartition.method = single")
+    )
+    assert cfg.train_batch_size == 1
+
 
 def test_list_placement_loads_as_its_text_and_round_trips():
     # "0,1" parses as a list; the string key keeps it as text, not a repr
@@ -308,9 +324,14 @@ def configs(draw):
         attr: draw(_values(key, getattr(defaults, attr)))
         for key, attr in _KEYS.items() if key not in ("seeds", "metrics.k")
     }
+    if values["partition_method"] == "label-tier":
+        values["partition_experts"] = draw(st.sampled_from([3, 4]))
+    if values["train_resample"] and values["partition_method"] != "single":
+        # a resampled batch holds a row of each expert
+        values["train_batch_size"] = draw(st.integers(values["partition_experts"]))
     values["train_quota"] = draw(st.integers(0, values["train_batch_size"]))
     values["backbone_time_embed_dim"] = 2 * draw(st.integers(1))  # sin/cos pairs: any even >= 2
-    values["seeds"] = draw(st.lists(st.integers(0, 2**63), min_size=1, max_size=3))
+    values["seeds"] = [draw(st.integers(0, 2**63))]
     classes = {}
     cids = draw(st.sets(st.integers(0, 20), max_size=3))
     if cids:  # every mean holds corpus.dimension values, and at most one class is healthy
@@ -325,8 +346,6 @@ def configs(draw):
         classes[f"class.{cid}.scale"] = draw(st.floats(0.0, 10.0, exclude_min=True))
         classes[f"class.{cid}.count"] = draw(st.integers(1, 10**6))
         classes[f"class.{cid}.healthy"] = cid == healthy
-    if values["partition_method"] == "label-tier":
-        values["partition_experts"] = draw(st.sampled_from([3, 4]))
     cfg = ExperimentConfig(**values, explicit_classes=classes)
     specs = class_specs_from_config(replace(cfg, corpus_dimension=1))
     try:

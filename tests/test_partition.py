@@ -75,14 +75,9 @@ class TestPartitionConflict:
     def test_antipodal_construction(self):
         emb = [[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]]
         corpus = corpus_with_embeddings(emb)
-        by_direction = Partition(
-            assignments=np.array([0, 0, 1, 1]), num_experts=2, method="random",
-            composition=[{0: 2}, {0: 2}],
-        )
-        across = Partition(
-            assignments=np.array([0, 1, 0, 1]), num_experts=2, method="random",
-            composition=[{0: 2}, {0: 2}],
-        )
+        by_direction = Partition(assignments=np.array([0, 0, 1, 1]), num_experts=2,
+                                 method="random")
+        across = Partition(assignments=np.array([0, 1, 0, 1]), num_experts=2, method="random")
         assert partition_conflict(corpus, by_direction).overall == 0.0
         assert partition_conflict(corpus, across).overall == pytest.approx(2.0, abs=1e-12)
 
@@ -117,10 +112,7 @@ class TestPartitionConflict:
         overall = totals / pair_counts
         best = overall.min()
 
-        blob_part = Partition(
-            assignments=corpus.class_ids(), num_experts=3, method="random",
-            composition=[{c: 4} for c in range(3)],
-        )
+        blob_part = Partition(assignments=corpus.class_ids(), num_experts=3, method="random")
         score = partition_conflict(corpus, blob_part)
         assert score.overall <= best + 1e-12
 
@@ -142,7 +134,7 @@ class TestPartitionConflict:
         rows = data.draw(hnp.arrays(np.float64, (n, data.draw(st.integers(1, 6))), elements=nonzero))
         assignments = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
         corpus = make_corpus([ClassSpec(class_id=0, mean=(0.0, 0.0), scale=1.0, count=n)])
-        part = Partition(assignments=assignments, num_experts=k, method="random", composition=[])
+        part = Partition(assignments=assignments, num_experts=k, method="random")
         score = partition_conflict(corpus, part, vectors=rows)
         assert score.overall == pytest.approx(
             partition_objective_brute(rows, assignments, k), abs=1e-12
@@ -154,10 +146,10 @@ class TestLabelTiers:
         corpus = make_corpus(chest_longtail_specs(2000))
         part = label_tier_partition(corpus, 4)
         healthy = corpus.healthy_class_id()
-        assert set(part.composition[3]) == {healthy}
-        assert part.composition[3][healthy] == corpus.class_counts()[healthy]
+        experts = composition_report(part, corpus)["experts"]
+        assert experts["3"]["class_counts"] == {str(healthy): corpus.class_counts()[healthy]}
         for k in range(3):
-            assert healthy not in part.composition[k]
+            assert str(healthy) not in experts[str(k)]["class_counts"]
 
     def test_three_nonhealthy_classes_forced_bijection(self):
         specs = [
@@ -166,11 +158,11 @@ class TestLabelTiers:
             ClassSpec(class_id=2, mean=(2.0, 0.0), scale=0.5, count=10),
             ClassSpec(class_id=3, mean=(3.0, 0.0), scale=0.5, count=5),
         ]
-        part = label_tier_partition(make_corpus(specs), 4)
-        assert part.composition[0] == {1: 20}
-        assert part.composition[1] == {2: 10}
-        assert part.composition[2] == {3: 5}
-        assert part.composition[3] == {0: 40}
+        corpus = make_corpus(specs)
+        experts = composition_report(label_tier_partition(corpus, 4), corpus)["experts"]
+        assert [experts[str(k)]["class_counts"] for k in range(4)] == [
+            {"1": 20}, {"2": 10}, {"3": 5}, {"0": 40}
+        ]
 
     def test_tiers_match_exhaustive_contiguous_optimum(self):
         # brute force over every contiguous split of the descending-count
@@ -194,7 +186,8 @@ class TestLabelTiers:
         expected = {}
         for i, c in enumerate(classes):
             expected[c.class_id] = 0 if i < b1 else (1 if i < b2 else 2)
-        tier_of = {cid: k for k in range(3) for cid in part.composition[k]}
+        experts = composition_report(part, corpus)["experts"]
+        tier_of = {int(cid): k for k in range(3) for cid in experts[str(k)]["class_counts"]}
         assert tier_of == expected
 
     def test_errors(self):
@@ -353,8 +346,9 @@ def test_class_to_expert_majority():
     part = label_tier_partition(corpus, 4)
     mapping = class_to_expert(part, corpus)
     assert mapping[0] == 3
+    experts = composition_report(part, corpus)["experts"]
     for cid, expert in mapping.items():
-        assert cid in part.composition[expert]
+        assert str(cid) in experts[str(expert)]["class_counts"]
 
 
 def test_composition_report_and_round_trip(tmp_path):
@@ -370,6 +364,43 @@ def test_composition_report_and_round_trip(tmp_path):
     loaded = load_partition(path, corpus)
     assert np.array_equal(part.assignments, loaded.assignments)
     assert loaded.method == part.method and loaded.num_experts == part.num_experts
+
+
+@st.composite
+def _sparse_class_assignments(draw):
+    counts = draw(st.tuples(*[st.integers(1, 6)] * 3))
+    k = draw(st.integers(1, 5))
+    n = sum(counts)
+    return counts, k, draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_sparse_class_assignments())
+# class 0's two rows go to experts 2 and 1: a tie that expert 1 takes, not the empty expert 0
+@example(case=((2, 1, 1), 3, [2, 1, 0, 0]))
+def test_class_expert_counts_match_brute_force(case):
+    counts, k, assignments = case
+    cids = (0, 5, 9)
+    corpus = make_corpus([ClassSpec(class_id=c, mean=(float(c), 0.0), scale=0.5, count=m)
+                          for c, m in zip(cids, counts)])
+    part = Partition(assignments=np.array(assignments, dtype=np.int64), num_experts=k,
+                     method="random")
+    brute = {(c, e): 0 for c in cids for e in range(k)}
+    for c, e in zip(corpus.class_ids().tolist(), assignments):
+        brute[c, e] += 1
+
+    experts = composition_report(part, corpus)["experts"]
+    assert sorted(experts) == [str(e) for e in range(k)]
+    for e in range(k):
+        size = sum(brute[c, e] for c in cids)
+        assert experts[str(e)]["size"] == size == part.expert_sizes()[e]
+        assert experts[str(e)]["share"] == size / len(corpus)
+        assert experts[str(e)]["class_counts"] == {str(c): brute[c, e] for c in cids
+                                                   if brute[c, e]}
+    # the majority expert; a tie goes to the lowest expert id among the tied
+    assert class_to_expert(part, corpus) == {
+        c: min(range(k), key=lambda e: (-brute[c, e], e)) for c in cids
+    }
 
 
 @pytest.mark.parametrize(

@@ -354,6 +354,7 @@ class TestCli:
         (["generate", "--seed", "-3"], "", "error: --seed: must be >= 0, got -3"),
         (["analyze-conflicts", "--seed", "-3"], "", "error: --seed: must be >= 0, got -3"),
         (["pipeline"], "seeds = -1", "error: seeds: must be >= 0, got -1"),
+        (["pipeline"], "seeds = 0,1", "error: seeds: expected one seed, got 2"),
     ])
     def test_negative_seeds_fail_at_load(self, tmp_path, capsys, argv, config_line, message):
         cfg_path = tmp_path / "exp.cfg"
@@ -369,6 +370,19 @@ class TestCli:
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
         message = "error: partition.method = label-tier: label tiers support K in {3, 4}, got 2"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resampling_with_fewer_batch_rows_than_experts_fails_at_load(self, tmp_path, capsys):
+        # the train stage would refuse it only after datagen, partition and pretraining
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMOKE_TEXT.replace("train.resample = false", "train.resample = true")
+                            .replace("train.batch_size = 8", "train.batch_size = 3")
+                            .replace("train.quota = 3", "train.quota = 2"))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+        message = ("error: train.batch_size: must be >= partition.experts (4) "
+                   "with train.resample = true, got 3")
         assert message in capsys.readouterr().err
         assert not out.exists()
 

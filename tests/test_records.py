@@ -233,7 +233,7 @@ def test_corpus_from_int_valued_specs_round_trip_property(means, scale, noise, s
        method=st.sampled_from(["label-tier", "embedding-kmeans", "random"]))
 def test_partition_round_trip_property(data, experts, method):
     assignments = data.draw(hnp.arrays(np.int64, len(CORPUS), elements=st.integers(0, experts - 1)))
-    part = Partition(assignments, experts, method, composition=[])
+    part = Partition(assignments, experts, method)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "partition.txt"
         save_partition(part, path)

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tailflow.seeding as seeding
 import tailflow.training as training
@@ -102,18 +104,29 @@ class TestAssembleBatch:
         forced[forced == 2] = 1
         from tailflow.partition import Partition
 
-        lopsided = Partition(
-            assignments=forced, num_experts=4, method="random",
-            composition=[
-                {0: int(np.sum((forced == k)))} for k in range(4)
-            ],
-        )
+        lopsided = Partition(assignments=forced, num_experts=4, method="random")
         rng = rng_for(4, "batches")
         with pytest.warns(RuntimeWarning, match="empty expert cluster"):
             batch = assemble_batch(corpus, lopsided, 8, True, 3, rng, None)
         present = set(batch.experts.tolist())
         assert 2 not in present
         assert {0, 1, 3} <= present
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 5), data=st.data())
+def test_ledger_matches_brute_force_counts(k, data):
+    batches = data.draw(st.lists(st.lists(st.integers(0, k - 1), max_size=9), max_size=6))
+    ledger = UtilizationLedger.empty(k)
+    seen: list[int] = []
+    for batch in [[], *batches]:  # an empty batch first: the empty ledger is checked too
+        ledger.add(np.array(batch, dtype=np.int64))
+        seen += batch
+        counts = [seen.count(e) for e in range(k)]
+        pct = {e: 100.0 * counts[e] / len(seen) if seen else 0.0 for e in range(k)}
+        assert ledger.counts.tolist() == counts and ledger.total == len(seen)
+        assert ledger.percentages() == pct
+        assert ledger.gap() == max(pct.values()) - min(pct.values())
 
 
 class TestTrain:
@@ -132,8 +145,7 @@ class TestTrain:
         out2, led2, tr2 = train(state, corpus, partition, steps=40, batch_size=8,
                                 resample=True, lr=0.05, seed=7, trace_interval=20)
         assert led1.total == 40 * 8
-        assert sum(led1.per_expert_counts.values()) == led1.total
-        assert led1.per_expert_counts == led2.per_expert_counts
+        assert np.array_equal(led1.counts, led2.counts)
         assert np.array_equal(out1.adapters.w1, out2.adapters.w1)
         assert np.array_equal(out1.adapters.w2, out2.adapters.w2)
         assert len(tr1) == 2
@@ -185,16 +197,14 @@ class TestTrain:
         rng = rng_for(7, "batches")
         for step in range(10):
             batch = assemble_batch(corpus, partition, 8, True, 3, rng, ref_ledger)
-            _, grads = training.flow_matching_loss(
+            _, grads = flow_matching_loss(
                 ref, batch, seed=derive_seed(7, "loss", step), cond_dropout=0.1
             )
             training.sgd_step(ref, grads, 0.05)
             ref_ledger.add(batch.experts)
         assert np.array_equal(out.adapters.w1, ref.adapters.w1)
         assert np.array_equal(out.adapters.w2, ref.adapters.w2)
-        assert (ledger.per_expert_counts, ledger.total) == (
-            ref_ledger.per_expert_counts, ref_ledger.total
-        )
+        assert np.array_equal(ledger.counts, ref_ledger.counts)
 
     def test_requires_frozen_backbone_and_adapters(self, corpus, partition):
         state = make_state(corpus)
@@ -236,9 +246,7 @@ class TestTrain:
             ref_ledger.add(batch.experts)
         assert out.adapters.w1.tobytes() == ref.adapters.w1.tobytes()
         assert out.adapters.w2.tobytes() == ref.adapters.w2.tobytes()
-        assert (ledger.per_expert_counts, ledger.total) == (
-            ref_ledger.per_expert_counts, ref_ledger.total
-        )
+        assert np.array_equal(ledger.counts, ref_ledger.counts)
         assert [trace.step for trace in traces] == list(range(10, steps + 1, 10))
 
     @pytest.mark.parametrize("steps, batch_size, name", [
@@ -281,7 +289,7 @@ class TestPretrain:
         rng = rng_for(2, "batches")
         for step in range(9):
             batch = assemble_batch(corpus, part, 8, False, 0, rng, None)
-            _, grads = training.flow_matching_loss(
+            _, grads = flow_matching_loss(
                 ref, batch, seed=derive_seed(2, "loss", step), cond_dropout=0.1
             )
             training.sgd_step(ref, grads, 0.01)
