@@ -46,7 +46,6 @@ from .partition import (
     Partition,
     bisecting_kmeans_partition,
     label_tier_partition,
-    pairwise_conflict,
     partition_conflict,
     random_partition,
     single_partition,

@@ -150,10 +150,12 @@ class Corpus:
             raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        unknown = np.flatnonzero(~np.isin(self.labels, known))
-        if len(unknown):
-            raise ValueError(f"sample {unknown[0]} has unknown class {self.labels[unknown[0]]}")
         counts = self.class_counts()
+        # known ids are distinct, so the counts miss a row only if its label
+        # names no class; np.isin would first copy the labels
+        if sum(counts.values()) != len(self.labels):
+            unknown = np.flatnonzero(~np.isin(self.labels, known))
+            raise ValueError(f"sample {unknown[0]} has unknown class {self.labels[unknown[0]]}")
         for c in self.classes:
             if counts[c.class_id] != c.count:
                 raise ValueError(
@@ -297,8 +299,8 @@ def _corpus_header(corpus: Corpus) -> list[tuple[str, object]]:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    rows = np.hstack([corpus.x, corpus.embeddings])
-    write_records(path, CORPUS_FORMAT, _corpus_header(corpus), corpus.labels, rows)
+    write_records(path, CORPUS_FORMAT, _corpus_header(corpus), corpus.labels, corpus.x,
+                  corpus.embeddings)
 
 
 def _class_spec(value: str) -> ClassSpec:
@@ -318,15 +320,15 @@ def _class_spec(value: str) -> ClassSpec:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    header, labels, rows = read_records(
+    header, labels, (x, embeddings) = read_records(
         path, CORPUS_FORMAT, ("dimension", "embedding_dim"), ("noise_scale", "seed")
     )
     meta = dict(header)
     dim = int(meta["dimension"])
     try:
         corpus = Corpus(
-            x=rows[:, :dim].copy(),
-            embeddings=rows[:, dim:].copy(),
+            x=x,
+            embeddings=embeddings,
             labels=labels,
             classes=[_class_spec(value) for key, value in header if key == "class"],
             dimension=dim,

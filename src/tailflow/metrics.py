@@ -197,7 +197,9 @@ def _nearest(generated: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, 
 
 def _irs(nearest_ids: np.ndarray, ref_ids: np.ndarray) -> float:
     """Fraction of reference ids retrieved as some generated row's 1-NN."""
-    return len(np.unique(nearest_ids)) / len(ref_ids)
+    ids = np.sort(nearest_ids)  # a count of distinct ids: np.unique would import numpy.ma
+    distinct = min(len(ids), 1) + int(np.count_nonzero(ids[1:] != ids[:-1]))
+    return distinct / len(ref_ids)
 
 
 def knn_radii(fset: FeatureSet, k: int) -> np.ndarray:
@@ -422,6 +424,6 @@ def save_samples(path: str | Path, vectors: np.ndarray, class_ids: np.ndarray) -
 
 def load_features(path: str | Path, tag: str) -> FeatureSet:
     """Read a samples file as a feature set, with its class column."""
-    header, classes, vectors = read_records(path, SAMPLES_FORMAT, ("dimension",))
+    header, classes, [vectors] = read_records(path, SAMPLES_FORMAT, ("dimension",))
     check_header(path, header, _samples_header(vectors))
     return FeatureSet(vectors=vectors, ids=np.arange(len(vectors)), tag=tag, classes=classes)

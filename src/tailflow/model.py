@@ -639,17 +639,30 @@ def sample_batch(
     _, [slices] = _route(state, None if expert_id is None else np.full((1, count), expert_id),
                          (1, count))
     x = rng_for(seed, "sample-noise").standard_normal((count, state.config.data_dim))
-    null, c = np.zeros((count, len(cond))), np.tile(cond, (count, 1))
+    p = state.backbone
+    # the conditioning terms of _embed are constant over the loop, and its X
+    # and tau terms are shared by both forwards of a step; each forward adds
+    # its terms in _embed's order, the zero term too, so the bits are _forward's
+    null = np.zeros((count, len(cond))) @ p["w_cond"].T
+    cond_term = np.tile(cond, (count, 1)) @ p["w_cond"].T
+
+    def velocity(shared: np.ndarray, term: np.ndarray) -> np.ndarray:
+        h = shared + term
+        h += p["b_in"]
+        return _run_blocks(state, h, slices, {})[0]
+
     dt = 1.0 / steps
     for i in range(steps):
-        t = np.full(count, i / steps)
+        tau = time_features(np.full(count, i / steps), state.config.time_embed_dim)
+        shared = x @ p["w_in"].T
+        shared += tau @ p["w_time"].T
         # scales 0 and 1 must collapse exactly, not just up to rounding: one forward each
         if guidance_scale == 1.0:
-            v = _forward(state, x, t, c, slices)[0]
+            v = velocity(shared, cond_term)
         else:
-            v = vu = _forward(state, x, t, null, slices)[0]
+            v = vu = velocity(shared, null)
             if guidance_scale != 0.0:
-                v = vu + guidance_scale * (_forward(state, x, t, c, slices)[0] - vu)
+                v = vu + guidance_scale * (velocity(shared, cond_term) - vu)
         x = x + dt * v
     return x
 

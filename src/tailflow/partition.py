@@ -27,6 +27,7 @@ k-means holds O(N E) memory plus one block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -41,7 +42,6 @@ from .seeding import rng_for
 __all__ = [
     "Partition",
     "ConflictScore",
-    "pairwise_conflict",
     "partition_conflict",
     "label_tier_classes",
     "label_tier_partition",
@@ -76,7 +76,16 @@ class Partition:
     method: str
 
     def members(self, expert_id: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == expert_id)
+        """The expert's sample ids, ascending."""
+        return self._member_lists[expert_id]
+
+    @cached_property
+    def _member_lists(self) -> list[np.ndarray]:
+        """Every expert's sample ids at once: a stable sort, split by expert
+        size. Built on the first ``members`` call, so ``assignments`` must not
+        change after it."""
+        order = np.argsort(self.assignments, kind="stable")
+        return np.split(order, np.cumsum(self.expert_sizes()[:-1]))
 
     def expert_sizes(self) -> list[int]:
         return np.bincount(self.assignments, minlength=self.num_experts).tolist()
@@ -107,19 +116,6 @@ def _build(corpus: Corpus, assignments: np.ndarray, num_experts: int, method: st
     part = Partition(assignments.astype(np.int64), num_experts, method)
     part.validate(corpus)
     return part
-
-
-def pairwise_conflict(u: np.ndarray, v: np.ndarray) -> float:
-    """``1 - cos(u, v)``, in [0, 2]. Undefined (raises) for zero-norm input."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1 or u.size < 1:
-        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateInputError("cosine undefined for zero-norm vector")
-    return float(1.0 - np.dot(u, v) / (nu * nv))
 
 
 def _normalized_rows(vectors: np.ndarray, what: str) -> np.ndarray:
@@ -278,7 +274,7 @@ def _two_means_cosine(unit: np.ndarray) -> np.ndarray:
     for _ in range(MAX_ITERS):
         sims = unit @ centroids.T  # (n, 2)
         new_labels = (sims[:, 1] > sims[:, 0]).astype(np.int64)  # tie -> side 0
-        if len(np.unique(new_labels)) < 2:
+        if new_labels.min() == new_labels.max():
             break  # keep previous non-degenerate labels
         if labels is not None and np.array_equal(new_labels, labels):
             break

@@ -324,6 +324,15 @@ STAGES = {
 }
 
 
+def _sha256(path: Path) -> str:
+    """The file's sha256, read a chunk at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _run(ctx: RunContext, manifest: RunManifest, name: str) -> None:
     started = time.perf_counter()
     try:
@@ -333,7 +342,7 @@ def _run(ctx: RunContext, manifest: RunManifest, name: str) -> None:
     names = ARTIFACTS[name]
     manifest.stages[name] = {
         "artifacts": {n: n for n in names},
-        "sha256": {n: hashlib.sha256((ctx.out / n).read_bytes()).hexdigest() for n in names},
+        "sha256": {n: _sha256(ctx.out / n) for n in names},
         "seconds": time.perf_counter() - started,
     }
     manifest.save(ctx.out / "manifest.json")

@@ -157,7 +157,6 @@ def assemble_batch(
     batch_counts = np.bincount(partition.assignments[drawn], minlength=K)
 
     cumulative = ledger.counts if ledger is not None else np.zeros(K, dtype=np.int64)
-    clusters = {k: partition.members(k) for k in range(K)}
     # priority: absent-from-batch first, then least cumulative use, then id
     order = sorted(range(K), key=lambda k: (batch_counts[k], cumulative[k], k))
 
@@ -167,7 +166,8 @@ def assemble_batch(
     while len(extra) < quota:
         k = order[pos % K]
         pos += 1
-        if len(clusters[k]) == 0:
+        members = partition.members(k)
+        if len(members) == 0:
             skipped += 1
             if skipped >= K:  # every cluster empty is impossible; quota turn exhausted
                 warnings.warn("round-robin found only empty clusters", RuntimeWarning)
@@ -175,7 +175,6 @@ def assemble_batch(
             warnings.warn(f"round-robin skipped empty expert cluster {k}", RuntimeWarning)
             continue
         skipped = 0
-        members = clusters[k]
         extra.append(int(members[rng.integers(0, len(members))]))
 
     idx = np.concatenate([drawn, np.array(extra, dtype=np.int64)])
@@ -205,8 +204,9 @@ def _probe(
 def _probe_blocks(
     probe: ModelState, corpus: Corpus, partition: Partition, probe_size: int,
     t_draws: np.ndarray, x0_draws: np.ndarray, seed: int, *labels,
-) -> list[np.ndarray]:
-    """Unit probe-gradient rows of each cluster's probed members, by expert.
+) -> Iterator[np.ndarray]:
+    """Unit probe-gradient rows of each cluster's probed members, by expert,
+    one cluster at a time.
 
     Cluster k probes up to ``probe_size`` members drawn without replacement
     from ``rng_for(seed, *labels, k)``, in sorted order; a cluster with fewer
@@ -214,7 +214,6 @@ def _probe_blocks(
     """
     if probe_size < 2:
         raise ValueError(f"probe_size must be >= 2 to form a pair, got {probe_size}")
-    blocks = []
     for k in range(partition.num_experts):
         ids = partition.members(k)
         if len(ids) >= 2:
@@ -223,17 +222,16 @@ def _probe_blocks(
         rows = per_sample_probe_gradients(
             probe, corpus.x[ids], corpus.embeddings[ids], t_draws, x0_draws
         )
-        blocks.append(_normalized_rows(rows, "probe gradient"))
-    return blocks
+        yield _normalized_rows(rows, "probe gradient")
 
 
 def _conflict_trace(
     probe: ModelState, corpus: Corpus, partition: Partition, step: int,
     probe_size: int, t_draws: np.ndarray, x0_draws: np.ndarray, seed: int,
 ) -> ConflictTrace:
-    blocks = _probe_blocks(
+    blocks = list(_probe_blocks(
         probe, corpus, partition, probe_size, t_draws, x0_draws, seed, "trace-members", step
-    )
+    ))
     within = _cluster_conflicts(blocks)
     unit = np.concatenate(blocks)
     # cross-cluster pairs are all pairs minus within-cluster pairs

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from tailflow.errors import DegenerateInputError
 from tailflow.seeding import rng_for
 
 
@@ -61,6 +62,19 @@ def frechet_diagonal_closed_form(
     mean_term = float(np.sum((np.asarray(mu_a) - np.asarray(mu_b)) ** 2))
     cov_term = float(np.sum((np.sqrt(var_a) - np.sqrt(var_b)) ** 2))
     return mean_term + cov_term
+
+
+def pairwise_conflict(u: np.ndarray, v: np.ndarray) -> float:
+    """``1 - cos(u, v)``, in [0, 2]. Undefined (raises) for zero-norm input."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape or u.ndim != 1 or u.size < 1:
+        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise DegenerateInputError("cosine undefined for zero-norm vector")
+    return float(1.0 - np.dot(u, v) / (nu * nv))
 
 
 def mean_pairwise_conflict_brute(vectors: np.ndarray) -> float:

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tailflow.metrics as metrics_mod
@@ -295,6 +295,16 @@ class TestRetrievalScore:
         pts = fs([[0.0, 1.0]])
         with pytest.raises(InsufficientDataError):
             irs(FeatureSet(np.empty((0, 2)), np.empty(0, dtype=int), "generated"), pts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids=st.lists(st.integers(0, 9), min_size=1, max_size=40), extra=st.integers(0, 5))
+    @example(ids=[4], extra=0)
+    def test_irs_counts_distinct_ids_as_np_unique_does(self, ids, extra):
+        # a sort and a neighbour compare in place of np.unique; ties and one row
+        nearest, ref = np.array(ids), np.arange(10 + extra)
+        value = metrics_mod._irs(nearest, ref)
+        assert type(value) is float
+        assert value == len(np.unique(nearest)) / len(ref)
 
 
 class TestAdjustedScore:

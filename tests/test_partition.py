@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import tailflow.metrics as metrics_mod
 import tailflow.partition as partition_mod
-from oracles import mean_pairwise_conflict_brute, partition_objective_brute
+from oracles import mean_pairwise_conflict_brute, pairwise_conflict, partition_objective_brute
 from tailflow.datagen import ClassSpec, blob_specs, chest_longtail_specs, generate_corpus
 from tailflow.errors import DegenerateInputError, InsufficientDataError
 from tailflow.partition import (
@@ -21,7 +21,6 @@ from tailflow.partition import (
     composition_report,
     label_tier_partition,
     load_partition,
-    pairwise_conflict,
     partition_conflict,
     random_partition,
     save_partition,
@@ -401,6 +400,18 @@ def test_class_expert_counts_match_brute_force(case):
     assert class_to_expert(part, corpus) == {
         c: min(range(k), key=lambda e: (-brute[c, e], e)) for c in cids
     }
+
+
+@settings(max_examples=40, deadline=None)
+@given(assignments=hnp.arrays(np.int64, st.integers(1, 60), elements=st.integers(0, 5)),
+       extra=st.integers(0, 3))
+def test_members_are_each_experts_ascending_ids(assignments, extra):
+    # computed once for all experts; experts above the largest id are empty
+    part = Partition(assignments=assignments, num_experts=6 + extra, method="random")
+    for k in range(part.num_experts):
+        members = part.members(k)
+        assert members.dtype == np.int64
+        assert members.tolist() == np.flatnonzero(assignments == k).tolist()
 
 
 @pytest.mark.parametrize(

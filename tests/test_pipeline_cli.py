@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -495,3 +498,17 @@ class TestCli:
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert list(cwd.iterdir()) == []
         capsys.readouterr()
+
+
+def test_a_run_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma (1.3 MB resident) on its first call; no stage calls it
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(SMOKE_TEXT)
+    args = ["--config", str(cfg), "--out", str(tmp_path / "run")]
+    code = (f"import sys; from tailflow.cli import main; main(['pipeline', *{args!r}]); "
+            f"main(['analyze-conflicts', *{args!r}]); print('numpy.ma' in sys.modules)")
+    src = str(Path(metrics_mod.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"

@@ -1,6 +1,7 @@
 """Corpus, partition and samples files: one writer, one strict reader."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,30 @@ def test_the_writer_refuses_non_finite_floats(tmp_path):
         save_samples(path, vectors, np.zeros(4, dtype=np.int64))
     assert str(path) in str(info.value)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("rows", [3_000, 30_000])
+def test_record_io_memory_is_flat_in_rows(tmp_path, rows):
+    # the same bound holds at 3,000 and at 30,000 rows: the writer formats a
+    # block of rows at a time and the reader parses a line at a time, so only
+    # the arrays a loader returns grow with the file, and those are not counted
+    corpus = generate_corpus(tail8_specs(rows, dimension=1), 1, seed=5, embedding_dim=1)
+    rng = np.random.default_rng(5)
+    vectors, classes = rng.standard_normal((rows, 1)), rng.integers(0, 8, rows)
+    samples, corpus_path = tmp_path / "samples.txt", tmp_path / "corpus.txt"
+    for step in (
+        lambda: save_samples(samples, vectors, classes),
+        lambda: load_features(samples, tag="generated"),
+        lambda: save_corpus(corpus, corpus_path),
+        lambda: load_corpus(corpus_path),
+    ):
+        tracemalloc.start()
+        try:
+            result = step()  # held, so a loader's arrays count in both figures
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 1 << 18
 
 
 def test_written_exponents_and_signs_load(tmp_path):
