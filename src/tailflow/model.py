@@ -29,8 +29,8 @@ and the width are read off these shapes. ``LossGradients`` holds two arrays
 of the same shapes, so an SGD step is one subtraction per tensor.
 
 Forward and backward passes are hand-written numpy, one of each, and each
-runs once per batch: ``_forward`` (behind ``model_forward``, the sampler and
-the probe) and ``_backward``. The forward is the input projection
+runs once per batch: ``_forward`` (behind ``model_forward`` and the
+sampler) and ``_backward``. The forward is the input projection
 ``_embed``, then the block loop ``_run_blocks``. ``_route`` sorts the rows
 by expert once, with a stable sort, so each expert owns one contiguous slice
 of the batch. The shared backbone runs on all rows, and an adapted block
@@ -48,6 +48,8 @@ and computes at once what reads no trained weight: x_t, targets, the sort
 by expert and, over a frozen backbone, the forward up to the first adapted
 block's backbone branch (a stacked matmul runs the per-step gemm, so each
 step keeps its bits). ``flow_matching_loss`` is a block of one step.
+``per_sample_probe_gradients`` stacks its (t, x0) draws the same way, a
+group of them per forward and backward.
 
 The GELU's ``erf`` is scipy's compiled ufunc, loaded from the extension
 module ``scipy.special._special_ufuncs`` alone. Importing the scipy.special
@@ -74,6 +76,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolationError
+from .metrics import _block_rows
 from .seeding import rng_for
 
 __all__ = [
@@ -336,7 +339,13 @@ def _route(
         raise ValueError(f"expert_ids shape {ids.shape}, expected {shape}")
     K = state.adapters.num_experts
     if ids.dtype.kind not in "iu" or np.any((ids < 0) | (ids >= K)):
-        raise ValueError(f"expert ids {np.unique(ids)} out of range for {K} experts")
+        # the distinct bad ids from a sort and a neighbour compare: np.unique
+        # would import numpy.ma (see the ROADMAP's dead ends)
+        bad = np.sort(ids if ids.dtype.kind not in "iu" else ids[(ids < 0) | (ids >= K)],
+                      axis=None)
+        first = np.ones(len(bad), dtype=bool)
+        first[1:] = bad[1:] != bad[:-1]
+        raise ValueError(f"expert ids {bad[first]} out of range for {K} experts")
     counts = (ids[..., None] == np.arange(K)).sum(axis=1)
     slices = [[(k, slice(end - count, end)) for k, (count, end) in enumerate(zip(cs, es)) if count]
               for cs, es in zip(counts.tolist(), counts.cumsum(axis=1).tolist())]
@@ -570,13 +579,23 @@ def _loss_inputs(
         rows = np.arange(len(order))[:, None]
         x_t, t, cond, target = (a[rows, order] for a in (x_t, t, cond, target))
     steps = _Steps(x_t, t, cond, target, slices)
-    if project:  # the last block stands in for the first adapted one if none is
-        steps.first = min(state.adapters.placement, default=state.config.num_blocks - 1)
-        steps.h = _embed(state, x_t, time_features(t, state.config.time_embed_dim), cond)
-        for l in range(steps.first):
-            steps.h = _backbone_block(state.backbone, l, steps.h)[3]
-        steps.frozen_sum = _backbone_block(state.backbone, steps.first, steps.h)[3]
+    if project:
+        steps.first, steps.h, steps.frozen_sum = _frozen_prefix(state, x_t, t, cond)
     return steps
+
+
+def _frozen_prefix(
+    state: ModelState, x_t: np.ndarray, t: np.ndarray, cond: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """The forward over a frozen backbone up to the first adapted block's
+    backbone branch, on rows of any leading shape, caching nothing: that
+    block's index, its input h and h + F(h). The last block stands in for
+    the first adapted one if none is."""
+    first = min(state.adapters.placement, default=state.config.num_blocks - 1)
+    h = _embed(state, x_t, time_features(t, state.config.time_embed_dim), cond)
+    for l in range(first):
+        h = _backbone_block(state.backbone, l, h)[3]
+    return first, h, _backbone_block(state.backbone, first, h)[3]
 
 
 def _loss(state: ModelState, steps: _Steps, b: int) -> tuple[float, LossGradients]:
@@ -681,29 +700,60 @@ def per_sample_probe_gradients(
     over them, so gradients are comparable across samples. Returns one
     gradient row per sample: for each block in placement order, the
     row-major flattened w1 gradient, then the w2 gradient.
+
+    The draws run in groups, as many per group as ``_SCAN_BYTES`` holds of
+    a draw's gradient rows and widest block state. A group is one forward
+    from the frozen prefix and one backward on (draws, n, ...) arrays; a
+    stacked matmul runs each draw's gemm, so every draw keeps the bits of a
+    pass of its own. The draws' gradients are added in draw order, and each
+    group's arrays are freed before the next group starts.
     """
     if state.adapters is None or state.adapters.num_experts != 1:
         raise ValueError("probe gradients need a single-expert adapter stack")
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
     cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
+    t_draws = np.asarray(t_draws, dtype=np.float64)
+    x0_draws = np.asarray(x0_draws, dtype=np.float64)
+    cfg, n = state.config, len(x1)
+    width = state.adapters.parameter_count()
+    total = np.zeros((n, width))
+    # per row, a draw's gradient row and its widest block state: h and
+    # h + F(h), then the backbone pre-activation, GELU and cdf
+    group = _block_rows(8 * n * (width + 2 * cfg.hidden_dim + 3 * cfg.ff_dim))
+    for start in range(0, len(t_draws), group):
+        _add_probe_group(state, total, x1, cond, t_draws[start : start + group],
+                         x0_draws[start : start + group])
+    total /= len(t_draws)
+    return total
+
+
+def _add_probe_group(
+    state: ModelState, total: np.ndarray, x1: np.ndarray, cond: np.ndarray,
+    t: np.ndarray, x0: np.ndarray,
+) -> None:
+    """Add a group of draws' per-sample gradients into ``total``, draw by
+    draw. One forward and one backward run on (draws, n, ...) arrays; the
+    group's arrays are freed on return."""
     n = len(x1)
-    slices = [(0, slice(0, n))]
-    total = np.zeros((n, state.adapters.parameter_count()))
-    for t_val, x0 in zip(t_draws, x0_draws):
-        x_t = (1.0 - t_val) * x0[None, :] + t_val * x1
-        v_target = x1 - x0[None, :]
-        out, cache = _forward(state, x_t, np.full(n, t_val), cond, slices)
-        # per-sample loss: mean over dimensions only
-        d_out = 2.0 * (out - v_target) / state.config.data_dim
-        factors = _backward(state, cache, d_out, None)
-        offset = 0
-        for j in range(len(state.adapters.placement)):
-            dh, z, dy, h_in = factors[j]
-            for grad in (np.einsum("ni,nj->nij", dy, h_in), np.einsum("ni,nj->nij", dh, z)):
-                size = grad.shape[1] * grad.shape[2]  # grad[0] is absent when n = 0
-                total[:, offset : offset + size] += grad.reshape(n, size)
-                offset += size
-    return total / len(t_draws)
+    x0 = x0[:, None, :]
+    x_t = (1.0 - t)[:, None, None] * x0 + t[:, None, None] * x1
+    first, h, frozen_sum = _frozen_prefix(
+        state, x_t, np.broadcast_to(t[:, None], (len(t), n)),
+        np.broadcast_to(cond, (len(t), *cond.shape)),
+    )
+    out, cache = _run_blocks(state, h, [(0, slice(0, n))], {}, first, frozen_sum)
+    # per-sample loss: mean over dimensions only
+    d_out = 2.0 * (out - (x1 - x0)) / state.config.data_dim
+    factors = _backward(state, cache, d_out, None)
+    offset = 0
+    for j in range(len(state.adapters.placement)):
+        dh, z, dy, h_in = factors[j]
+        for left, right in ((dy, h_in), (dh, z)):
+            size = left.shape[2] * right.shape[2]
+            part = total[:, offset : offset + size]
+            for d in range(len(t)):  # in draw order, as one pass per draw adds them
+                part += np.einsum("ni,nj->nij", left[d], right[d]).reshape(n, size)
+            offset += size
 
 
 def _checkpoint_arrays(state: ModelState) -> dict[str, np.ndarray]:

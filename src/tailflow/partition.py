@@ -19,13 +19,16 @@ Conflict is computed in closed form, with no m x m Gram matrix: for unit
 rows u_1..u_m the mean pairwise conflict is
 1 - (|sum u_i|^2 - sum |u_i|^2) / (m (m - 1)), as for the concept vectors of
 spherical k-means, so scoring, the objective and the peel step cost O(m E).
-Only the 2-means seed pair needs every pair; it is scanned a block of rows
-at a time, each block at most ``metrics._SCAN_BYTES`` (1 MiB), so bisecting
-k-means holds O(N E) memory plus one block.
+Only the 2-means seed pair needs every pair. A float32 screen takes each
+row block's smallest dot, and only the blocks whose minimum could hold the
+float64 maximum conflict, or a tie of it, are scanned in float64, a block
+of rows at a time, each block at most ``metrics._SCAN_BYTES`` (1 MiB); so
+bisecting k-means holds O(N E) memory plus one block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -33,6 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import metrics
 from .datagen import ClassSpec, Corpus
 from .errors import DegenerateInputError, InsufficientDataError
 from .metrics import _block_rows
@@ -136,20 +140,27 @@ def _mean_conflict(unit: np.ndarray) -> float:
 def _cluster_conflict(unit: np.ndarray) -> float:
     """Mean conflict of one cluster's unit rows, clipped to [0, 2]; 0 for
     fewer than two rows."""
-    if len(unit) < 2:
-        return 0.0
-    return float(np.clip(_mean_conflict(unit), 0.0, 2.0))
+    return _clipped(_mean_conflict(unit) if len(unit) >= 2 else None)
+
+
+def _clipped(mean: float | None) -> float:
+    """A cluster's conflict from its unclipped mean, None below two rows."""
+    return 0.0 if mean is None else float(np.clip(mean, 0.0, 2.0))
 
 
 def _cluster_conflicts(blocks: Iterable[np.ndarray]) -> ConflictScore:
     """Per-cluster conflict of each block of unit rows, and their mean
     weighted by within-cluster pair count."""
+    return _pair_weighted((_cluster_conflict(unit), len(unit)) for unit in blocks)
+
+
+def _pair_weighted(clusters: Iterable[tuple[float, int]]) -> ConflictScore:
+    """The ``ConflictScore`` of clusters given as (conflict, size) pairs."""
     per_cluster: list[float] = []
     weighted = 0.0
     total_pairs = 0
-    for unit in blocks:
-        value = _cluster_conflict(unit)
-        pairs = len(unit) * (len(unit) - 1) // 2
+    for value, size in clusters:
+        pairs = size * (size - 1) // 2
         per_cluster.append(value)
         weighted += value * pairs
         total_pairs += pairs
@@ -244,13 +255,63 @@ def label_tier_partition(corpus: Corpus, num_experts: int = 4) -> Partition:
     return _build(corpus, assignments, num_experts, METHOD_LABEL_TIER)
 
 
+def _screen_minima(unit: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, float]:
+    """The float32 screen of ``_max_conflict_pair``: for the row block
+    beginning at each of ``starts``, the smallest float32 dot u_i . u_j over
+    its rows i and every j > i; and the largest squared row norm.
+
+    Columns are converted a chunk of ``edge`` rows at a time, once each, and
+    multiplied by every earlier or equal chunk of rows. A tile holds a
+    chunk's columns down and its rows across, so each row's minimum is a
+    reduction over the outer axis. A tile, its diagonal mask and both
+    converted chunks fit in half of ``_SCAN_BYTES``: with the whole budget,
+    conflicts-6k's peak RSS was about 0.5 MB above a float64-only scan's."""
+    n, width = unit.shape
+    budget = metrics._SCAN_BYTES // 2
+    edge = max(1, (math.isqrt(16 * width * width + 5 * budget) - 4 * width) // 5)
+    row_min = np.full(n, np.inf, dtype=np.float32)
+    upper = ~np.tri(min(edge, n), k=-1, dtype=bool)  # j <= i on a diagonal tile
+    scale = 0.0
+    for c0 in range(0, n, edge):
+        cols64 = unit[c0 : c0 + edge]
+        scale = max(scale, float(np.einsum("ij,ij->i", cols64, cols64).max()))
+        cols = cols64.astype(np.float32)
+        for r0 in range(0, c0 + 1, edge):
+            rows = cols if r0 == c0 else unit[r0 : r0 + edge].astype(np.float32)
+            tile = cols @ rows.T
+            if r0 == c0:
+                tile[upper[: len(cols), : len(cols)]] = np.inf
+            mins = row_min[r0 : r0 + len(rows)]
+            np.minimum(mins, tile.min(axis=0), out=mins)
+            del tile, rows
+    return np.minimum.reduceat(row_min, starts), scale
+
+
 def _max_conflict_pair(unit: np.ndarray) -> tuple[int, int]:
     """Indices i < j of the most-conflicting pair of rows; first occurrence
-    in row-major order wins (lowest i, then lowest j)."""
-    n = unit.shape[0]
+    in row-major order wins (lowest i, then lowest j).
+
+    The float64 row blocks are screened in float32 first (``_screen_minima``)
+    and settled in float64 only where the screen's minimum dot lies within
+    ``8 (F + 2) 2^-24 s`` of the smallest, s the largest squared row norm.
+    A float32 dot of F terms is within (F + 2) 2^-24 s of the exact one, to
+    first order, and a float64 dot far closer. So a block left out holds
+    only dots above the smallest float64 dot by more than two rounding steps
+    of ``1 - dot``, and its conflicts are strictly below the maximum. The
+    settled blocks run the float64 block code in ascending order, so the
+    pair is the one every block would give, ties included. A screen whose
+    scale leaves [2^-24, 2^64], where float32 range and that rounding gap
+    hold, or whose minima are not finite, settles every block."""
+    n, width = unit.shape
     best, best_i, best_j = -np.inf, 0, 1
     step = _block_rows(8 * n)
-    for start in range(0, n - 1, step):
+    starts = np.arange(0, n - 1, step)
+    if len(starts) == 0:
+        return best_i, best_j
+    minima, scale = _screen_minima(unit, starts)
+    margin = 8 * (width + 2) * 2.0**-24 * scale if 2.0**-24 <= scale <= 2.0**64 else np.inf
+    # NaN anywhere makes the cut NaN, and no block compares above it
+    for start in starts[~(minima > minima.min() + margin)].tolist():
         stop = min(start + step, n)
         conf = unit[start:stop] @ unit[start:].T
         np.subtract(1.0, conf, out=conf)
@@ -312,38 +373,45 @@ def bisecting_kmeans_partition(
         raise InsufficientDataError(f"K = {num_experts} exceeds corpus size {n}")
 
     unit = _normalized_rows(corpus.embedding_matrix(), "embedding")
-    clusters: list[np.ndarray] = [np.arange(n)]
-    history = [_cluster_conflicts(unit[c] for c in clusters).overall]
+
+    def scored(members: np.ndarray) -> tuple[np.ndarray, float | None]:
+        # a cluster with its unclipped mean conflict, computed once for both
+        # the choice of the next target and every objective it enters
+        return members, _mean_conflict(unit[members]) if len(members) >= 2 else None
+
+    def objective(clusters: list[tuple[np.ndarray, float | None]]) -> float:
+        return _pair_weighted((_clipped(mean), len(c)) for c, mean in clusters).overall
+
+    clusters = [scored(np.arange(n))]
+    history = [objective(clusters)]
 
     while len(clusters) < num_experts:
         # the most-conflicting cluster; ties -> larger, then lower first id
-        scored = [
-            (-_mean_conflict(unit[c]), -len(c), int(c[0]), idx)
-            for idx, c in enumerate(clusters) if len(c) >= 2
-        ]
-        target_idx = min(scored)[3]
-        members = clusters[target_idx]
+        target_idx = min(
+            (-mean, -len(c), int(c[0]), idx)
+            for idx, (c, mean) in enumerate(clusters) if mean is not None
+        )[3]
+        members = clusters[target_idx][0]
+        rest = clusters[:target_idx] + clusters[target_idx + 1 :]
 
         labels = _two_means_cosine(unit[members])
-        left, right = members[labels == 0], members[labels == 1]
-        candidate = clusters[:target_idx] + clusters[target_idx + 1 :] + [left, right]
-        new_obj = _cluster_conflicts(unit[c] for c in candidate).overall
+        candidate = rest + [scored(members[labels == 0]), scored(members[labels == 1])]
+        new_obj = objective(candidate)
         if new_obj > history[-1] + 1e-12:
             # peel the sample with the largest mean conflict to the rest;
             # this never increases the pair-weighted objective
             rows = unit[members]
             row_mean = (len(members) - rows @ rows.sum(axis=0)) / (len(members) - 1)
             worst = int(np.argmax(row_mean))
-            left = np.delete(members, worst)
-            right = members[worst : worst + 1]
-            candidate = clusters[:target_idx] + clusters[target_idx + 1 :] + [left, right]
-            new_obj = _cluster_conflicts(unit[c] for c in candidate).overall
+            candidate = rest + [scored(np.delete(members, worst)),
+                                scored(members[worst : worst + 1])]
+            new_obj = objective(candidate)
         clusters = candidate
         history.append(new_obj)
 
-    clusters.sort(key=lambda c: int(c[0]))
+    clusters.sort(key=lambda c: int(c[0][0]))
     assignments = np.empty(n, dtype=np.int64)
-    for k, members in enumerate(clusters):
+    for k, (members, _) in enumerate(clusters):
         assignments[members] = k
     part = _build(corpus, assignments, num_experts, METHOD_EMBEDDING_KMEANS)
     if return_history:

@@ -4,6 +4,11 @@ Deliberately written as plain double loops (no shared code with the
 library) so they can certify the accelerated paths. Per-pair distances use
 np.sqrt(np.sum(diff**2)) on 1-D arrays, the same elementwise reduction the
 vectorized paths perform, so agreement is exact, not approximate.
+
+Two references are the library's earlier implementations instead, kept to
+certify their replacements byte for byte: ``max_conflict_pair_blocked``
+scans every float64 row block, and ``probe_gradients_per_draw`` runs one
+forward and one backward per (t, x0) draw.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import math
 
 import numpy as np
 
+from tailflow import metrics, model
 from tailflow.errors import DegenerateInputError
 from tailflow.seeding import rng_for
 
@@ -192,3 +198,49 @@ def text_embedding_surrogate(
     if noise_scale == 0:
         return base
     return base + noise_scale * rng_for(seed, "embedding-jitter", sample_id).standard_normal(dim)
+
+
+def max_conflict_pair_blocked(unit: np.ndarray) -> tuple[int, int]:
+    """The seed pair from every float64 row block of ``metrics._SCAN_BYTES``:
+    the first maximum of ``1 - u_i . u_j`` over i < j in row-major order."""
+    n = unit.shape[0]
+    best, best_i, best_j = -np.inf, 0, 1
+    step = metrics._block_rows(8 * n)
+    for start in range(0, n - 1, step):
+        stop = min(start + step, n)
+        conf = unit[start:stop] @ unit[start:].T
+        np.subtract(1.0, conf, out=conf)
+        conf[:, : stop - start][np.tri(stop - start, dtype=bool)] = -np.inf
+        flat = int(np.argmax(conf))
+        if conf.flat[flat] > best:
+            best = conf.flat[flat]
+            r, c = divmod(flat, n - start)
+            best_i, best_j = start + r, start + c
+        del conf
+    return best_i, best_j
+
+
+def probe_gradients_per_draw(
+    state, x1: np.ndarray, cond: np.ndarray, t_draws: np.ndarray, x0_draws: np.ndarray
+) -> np.ndarray:
+    """``per_sample_probe_gradients`` with one full forward and backward per
+    draw, the draws' outer products added in draw order."""
+    x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
+    cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
+    n = len(x1)
+    slices = [(0, slice(0, n))]
+    total = np.zeros((n, state.adapters.parameter_count()))
+    for t_val, x0 in zip(t_draws, x0_draws):
+        x_t = (1.0 - t_val) * x0[None, :] + t_val * x1
+        v_target = x1 - x0[None, :]
+        out, cache = model._forward(state, x_t, np.full(n, t_val), cond, slices)
+        d_out = 2.0 * (out - v_target) / state.config.data_dim
+        factors = model._backward(state, cache, d_out, None)
+        offset = 0
+        for j in range(len(state.adapters.placement)):
+            dh, z, dy, h_in = factors[j]
+            for grad in (np.einsum("ni,nj->nij", dy, h_in), np.einsum("ni,nj->nij", dh, z)):
+                size = grad.shape[1] * grad.shape[2]
+                total[:, offset : offset + size] += grad.reshape(n, size)
+                offset += size
+    return total / len(t_draws)

@@ -7,15 +7,19 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tailflow.metrics as metrics_mod
 import tailflow.model as model_mod
-from oracles import euler_reference, forward_reference
+import tailflow.training as training_mod
+from oracles import euler_reference, forward_reference, probe_gradients_per_draw
 from tailflow.datagen import ClassSpec, generate_corpus
 from tailflow.errors import ContractViolationError
 from tailflow.model import (
@@ -294,6 +298,48 @@ def test_probe_gradient_rows_match_finite_differences(placement):
     checked = scale > 1e-12
     assert checked.mean() > 0.9
     assert np.max(np.abs(fd - rows)[checked] / scale[checked]) < 1e-4
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 2, 64]),
+    draws=st.sampled_from([1, 8]),
+    placement=st.sampled_from(["last:1", "all"]),
+    budget=st.sampled_from([None, 1, 3 * 8 * 64 * 400]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grouped_probe_gradients_equal_one_pass_per_draw(n, draws, placement, budget, seed):
+    # groups of draws run as stacked passes, budget 1 makes one draw per
+    # group; each draw's rows must keep the bits of a pass of its own
+    state = small_state(num_experts=1, placement=placement, zero_w2=False, seed=seed % 97)
+    rng = rng_for(seed, "probe-groups")
+    x1 = rng.standard_normal((n, state.config.data_dim))
+    cond = rng.standard_normal((n, state.config.cond_dim))
+    t_draws = rng.uniform(0.05, 0.95, draws)
+    x0_draws = rng.standard_normal((draws, state.config.data_dim))
+    with mock.patch.object(metrics_mod, "_SCAN_BYTES", budget or metrics_mod._SCAN_BYTES):
+        got = per_sample_probe_gradients(state, x1, cond, t_draws, x0_draws)
+    want = probe_gradients_per_draw(state, x1, cond, t_draws, x0_draws)
+    assert got.shape == want.shape == (n, state.adapters.parameter_count())
+    assert got.tobytes() == want.tobytes()
+
+
+def test_probe_gradients_memory_is_output_plus_one_budget():
+    # the probe of analyze-conflicts: 64 rows and 8 draws; the groups of
+    # draws hold at most one _SCAN_BYTES beyond the returned rows
+    cfg = BackboneConfig(data_dim=2, hidden_dim=32, num_blocks=2, cond_dim=16, time_embed_dim=8)
+    state = ModelState(config=cfg, backbone=init_backbone(cfg, 0), adapters=None, frozen=False)
+    probe, t_draws, x0_draws = training_mod._probe(state, 1, 2, 8)
+    rng = rng_for(5, "probe-memory")
+    x1, cond = rng.standard_normal((64, 2)), rng.standard_normal((64, 16))
+    tracemalloc.start()
+    try:
+        rows = per_sample_probe_gradients(probe, x1, cond, t_draws, x0_draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (64, 512)
+    assert peak <= rows.nbytes + metrics_mod._SCAN_BYTES
 
 
 @pytest.mark.parametrize("hidden, n", [(32, 8), (8, 5), (64, 1)])
@@ -709,6 +755,27 @@ def _fresh_python(code):
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+def test_refused_expert_ids_are_named_without_importing_numpy_ma():
+    # the distinct bad ids come from a sort, not np.unique, which imports numpy.ma
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from tailflow.model import BackboneConfig, ModelState, init_adapters, init_backbone\n"
+        "from tailflow.model import model_forward\n"
+        "cfg = BackboneConfig(data_dim=2, hidden_dim=4, num_blocks=1)\n"
+        "state = ModelState(cfg, init_backbone(cfg, 0), init_adapters(cfg, 2, 2, 'all', 'gelu', 0))\n"
+        "try:\n"
+        "    model_forward(state, np.zeros((5, 2)), np.zeros(5), np.zeros((5, 16)),\n"
+        "                  np.array([7, 1, -1, 7, 0]))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert _fresh_python(code).splitlines() == [
+        "expert ids [-1  7] out of range for 2 experts", "False"
+    ]
 
 
 def test_cli_import_leaves_the_scipy_special_package_unimported():

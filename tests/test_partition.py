@@ -11,7 +11,12 @@ from hypothesis.extra import numpy as hnp
 
 import tailflow.metrics as metrics_mod
 import tailflow.partition as partition_mod
-from oracles import mean_pairwise_conflict_brute, pairwise_conflict, partition_objective_brute
+from oracles import (
+    max_conflict_pair_blocked,
+    mean_pairwise_conflict_brute,
+    pairwise_conflict,
+    partition_objective_brute,
+)
 from tailflow.datagen import ClassSpec, blob_specs, chest_longtail_specs, generate_corpus
 from tailflow.errors import DegenerateInputError, InsufficientDataError
 from tailflow.partition import (
@@ -266,6 +271,56 @@ class TestBisectingKMeans:
         i, j = np.unravel_index(int(np.argmax(conf)), conf.shape)
         with mock.patch.object(metrics_mod, "_SCAN_BYTES", block * n * 8):
             assert partition_mod._max_conflict_pair(rows) == (int(i), int(j))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        width=st.sampled_from([1, 16, 512]),
+        distinct=st.integers(1, 6),
+        jitter=st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-3]),
+        budget=st.sampled_from([None, 1, 4096]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2, width=1, distinct=1, jitter=0.0, budget=1, seed=0)
+    @example(n=2, width=512, distinct=2, jitter=0.0, budget=None, seed=0)
+    def test_screened_seed_pair_is_every_blocks_pair(self, n, width, distinct, jitter, budget,
+                                                     seed):
+        # tie-heavy pools of small integers, exact in float32 too, and unit
+        # rows that differ below float32's resolution: the screen must settle
+        # every block the float64 maximum or a tie of it can lie in. Budget 1
+        # makes one-row blocks and one-column chunks.
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(-2, 3, size=(distinct, width)).astype(np.float64)
+        rows = pool[rng.integers(0, distinct, size=n)]
+        if jitter:
+            rows = rows + jitter * rng.standard_normal(rows.shape)
+            rows /= np.maximum(np.linalg.norm(rows, axis=1), 1e-300)[:, None]
+        with mock.patch.object(metrics_mod, "_SCAN_BYTES", budget or metrics_mod._SCAN_BYTES):
+            assert partition_mod._max_conflict_pair(rows) == max_conflict_pair_blocked(rows)
+
+    def test_seed_pair_scan_settles_a_block_that_float32_misorders(self):
+        # rows 2 and 3 conflict most in float64, by 3.3e-8; their float32
+        # entries round down, so the screen puts their block 1.2e-7 behind
+        # the block of rows 0 and 1. Only the margin keeps it for the float64
+        # step: a margin below that gap returns (0, 1).
+        a = np.full(16, 0.25 + 0.49 * 2.0**-25)
+        rows = np.zeros((4, 16))
+        rows[0, 0], rows[1, 0] = 1.0, -(1.0 + 0.7 * 2.0**-23)
+        rows[2], rows[3] = a, -a
+        dots, dots32 = rows @ rows.T, (lambda r: r @ r.T)(rows.astype(np.float32))
+        assert dots[2, 3] < dots[0, 1] and dots32[2, 3] > dots32[0, 1]
+        with mock.patch.object(metrics_mod, "_SCAN_BYTES", 1):
+            assert partition_mod._max_conflict_pair(rows) == (2, 3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [0.0, 2.0**-40, 2.0**70, np.inf, np.nan])
+    def test_seed_pair_scan_outside_the_screens_range_settles_every_block(self, scale):
+        # norms the float32 screen cannot bound, and values that are not
+        # finite, leave every block to the float64 code
+        rows = np.random.default_rng(2).standard_normal((40, 16))
+        rows[::3] = rows[0]
+        rows[5] *= scale
+        assert partition_mod._max_conflict_pair(rows) == max_conflict_pair_blocked(rows)
 
     def test_memory_stays_linear_in_corpus_size(self):
         # an N x N float64 Gram matrix alone would take 275 MB here
