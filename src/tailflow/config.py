@@ -23,7 +23,7 @@ from .datagen import (
     chest_longtail_specs,
     tail8_specs,
 )
-from .model import _ACTIVATIONS, _placement_blocks
+from .model import _placement_blocks
 from .partition import _METHODS, label_tier_classes
 
 __all__ = [
@@ -138,7 +138,6 @@ class ExperimentConfig:
 
     adapter_dim: int = 16
     adapter_placement: str = "all"
-    adapter_nonlinearity: str = "gelu"
 
     train_pretrain_steps: int = 300
     train_pretrain_lr: float = 0.01
@@ -246,8 +245,6 @@ class ExperimentConfig:
             raise ValueError(f"adapter.placement: {exc}") from None
         if self.partition_method not in _METHODS:
             raise ValueError(f"partition.method: unknown method {self.partition_method!r}")
-        if self.adapter_nonlinearity not in _ACTIVATIONS:
-            raise ValueError(f"adapter.nonlinearity: unknown {self.adapter_nonlinearity!r}")
         if not self.explicit_classes and self.corpus_profile not in _PROFILES:
             raise ValueError(f"corpus.profile: unknown profile {self.corpus_profile!r}")
         # at corpus.dimension 1: the counts do not depend on it, and a profile's means hold

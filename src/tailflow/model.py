@@ -7,7 +7,7 @@ connections and out to a velocity prediction. Each block's output is
 
     h_{l+1} = h_l + F_l(h_l) + A_{k,l}(h_l)
 
-where F_l is the frozen base block and A_{k,l}(h) = W2 sigma(W1 h) is the
+where F_l is the frozen base block and A_{k,l}(h) = W2 gelu(W1 h) is the
 two-layer residual adapter owned by expert k at block l (blocks outside the
 placement have no A term). Experts are selected by a precomputed partition:
 routing is a pure lookup, there is no gate. Up-projections start at zero,
@@ -34,7 +34,7 @@ sampler) and ``_backward``. The forward is the input projection
 ``_embed``, then the block loop ``_run_blocks``. ``_route`` sorts the rows
 by expert once, with a stable sort, so each expert owns one contiguous slice
 of the batch. The shared backbone runs on all rows, and an adapted block
-adds expert k's W2 sigma(W1 h) to its own slice, one matmul per routed
+adds expert k's W2 gelu(W1 h) to its own slice, one matmul per routed
 expert, the way S-LoRA and Punica serve many adapters in one batch. The
 backward returns, per adapted block, the factors whose products are the
 adapter gradients; the loss core ``_loss`` multiplies them out over each
@@ -45,9 +45,10 @@ unfrozen, which the fine-tuning contract forbids.
 
 ``_loss_inputs`` takes a block of steps' draws and batches on a leading axis
 and computes at once what reads no trained weight: x_t, targets, the sort
-by expert and, over a frozen backbone, the forward up to the first adapted
-block's backbone branch (a stacked matmul runs the per-step gemm, so each
-step keeps its bits). ``flow_matching_loss`` is a block of one step.
+by expert and, over a frozen backbone with adapters, the forward up to the
+first adapted block's backbone branch (a stacked matmul runs the per-step
+gemm, so each step keeps its bits). ``flow_matching_loss`` is a block of one
+step, so it runs the path ``training.train`` runs.
 ``per_sample_probe_gradients`` stacks its (t, x0) draws the same way, a
 group of them per forward and backward.
 
@@ -71,7 +72,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -148,21 +149,6 @@ def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _relu(x: np.ndarray) -> tuple[np.ndarray, None]:
-    return np.maximum(x, 0.0), None
-
-
-def _relu_grad(x: np.ndarray, _) -> np.ndarray:
-    return (x > 0.0).astype(np.float64)
-
-
-# name -> (forward returning (value, saved), gradient from (input, saved))
-_ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "gelu": (_gelu, _gelu_grad),
-    "relu": (_relu, _relu_grad),
-}
-
-
 @dataclass(frozen=True)
 class BackboneConfig:
     data_dim: int
@@ -187,7 +173,6 @@ class BackboneConfig:
 @dataclass
 class AdapterStack:
     placement: tuple[int, ...]
-    nonlinearity: str
     w1: np.ndarray  # (num_experts, len(placement), adapter_dim, hidden_dim)
     w2: np.ndarray  # (num_experts, len(placement), hidden_dim, adapter_dim)
 
@@ -200,8 +185,6 @@ class AdapterStack:
         return self.w1.shape[2]
 
     def validate(self, config: BackboneConfig) -> None:
-        if self.nonlinearity not in _ACTIVATIONS:
-            raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
         if any(type(block) is not int for block in self.placement):
             raise ValueError(f"placement {self.placement} holds a block that is not an int")
         if self.placement != resolve_placement(config.num_blocks, self.placement):
@@ -294,7 +277,10 @@ def init_adapters(
     nonlinearity: str = "gelu",
     seed: int = 0,
 ) -> AdapterStack:
-    """Zero-init up-projections: a fresh stack is an exact identity add-on."""
+    """Zero-init up-projections: a fresh stack is an exact identity add-on.
+    GELU is the one adapter nonlinearity; ``nonlinearity`` names it."""
+    if nonlinearity != "gelu":
+        raise ValueError(f"unknown nonlinearity {nonlinearity!r}: adapters use gelu")
     blocks = resolve_placement(config.num_blocks, placement)
     d = config.hidden_dim
     w1 = np.empty((num_experts, len(blocks), adapter_dim, d))
@@ -303,7 +289,6 @@ def init_adapters(
             w1[k, j] = rng_for(seed, "adapter-init", k, l).standard_normal((adapter_dim, d))
     stack = AdapterStack(
         placement=blocks,
-        nonlinearity=nonlinearity,
         w1=w1 / math.sqrt(d),
         w2=np.zeros((num_experts, len(blocks), d, adapter_dim)),
     )
@@ -396,10 +381,9 @@ def _run_blocks(
             entry["a"], entry["g"], entry["cdf"], f = _backbone_block(p, l, h)
         if stack is not None and l in stack.placement:
             j = stack.placement.index(l)
-            act, _ = _ACTIVATIONS[stack.nonlinearity]
             y = _segment_matmul(h, stack.w1[:, j].transpose(0, 2, 1), slices)
-            z, saved = act(y)
-            entry.update(y=y, z=z, saved=saved)
+            z, y_cdf = _gelu(y)
+            entry.update(y=y, z=z, y_cdf=y_cdf)
             f = f + _segment_matmul(z, stack.w2[:, j].transpose(0, 2, 1), slices)
         h = f
         cache["blocks"].append(entry)
@@ -453,9 +437,8 @@ def _backward(
         h_in = cache["h"][l]
         if "y" in entry:
             j = stack.placement.index(l)
-            _, act_grad = _ACTIVATIONS[stack.nonlinearity]
             dy = _segment_matmul(dh, stack.w2[:, j], slices)
-            dy *= act_grad(entry["y"], entry["saved"])
+            dy *= _gelu_grad(entry["y"], entry["y_cdf"])
             factors[j] = (dh, entry["z"], dy, h_in)
             if backbone_grads is None and l == bottom:
                 break
@@ -560,12 +543,11 @@ class _Steps:
     frozen_sum: np.ndarray | None = None
 
 
-def _loss_inputs(
-    state: ModelState, t, x0, keep, x1, cond, experts, project: bool = False
-) -> _Steps:
+def _loss_inputs(state: ModelState, t, x0, keep, x1, cond, experts) -> _Steps:
     """What of a block of steps' losses reads no trained weight (see the
     module docstring), from their draws and batches stacked as (B, n, ...)
-    arrays; the forward's frozen prefix only with ``project``."""
+    arrays; the forward's frozen prefix whenever adapters are attached, since
+    adapters require a frozen backbone."""
     if state.adapters is not None and not state.frozen:
         raise ContractViolationError(
             "adapter fine-tuning requires a frozen backbone; unfreeze only for "
@@ -579,7 +561,7 @@ def _loss_inputs(
         rows = np.arange(len(order))[:, None]
         x_t, t, cond, target = (a[rows, order] for a in (x_t, t, cond, target))
     steps = _Steps(x_t, t, cond, target, slices)
-    if project:
+    if state.adapters is not None:
         steps.first, steps.h, steps.frozen_sum = _frozen_prefix(state, x_t, t, cond)
     return steps
 
@@ -758,12 +740,13 @@ def _add_probe_group(
 
 def _checkpoint_arrays(state: ModelState) -> dict[str, np.ndarray]:
     stack = state.adapters
+    # the meta still names the adapters' one activation, so checkpoints keep their bytes
     meta = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(state.config),
         "frozen": state.frozen,
         "adapters": None if stack is None
-        else {"placement": list(stack.placement), "nonlinearity": stack.nonlinearity},
+        else {"placement": list(stack.placement), "nonlinearity": "gelu"},
     }
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
     arrays.update({f"backbone/{name}": arr for name, arr in state.backbone.items()})
@@ -790,8 +773,8 @@ def load_checkpoint(path: str | Path) -> ModelState:
             state = ModelState(config, init_backbone(config, 0), frozen=bool(meta["frozen"]))
             if meta["adapters"] is not None:
                 am = meta["adapters"]
-                state.adapters = AdapterStack(tuple(am["placement"]), am["nonlinearity"],
-                                              data["adapter/w1"], data["adapter/w2"])
+                state.adapters = AdapterStack(tuple(am["placement"]), data["adapter/w1"],
+                                              data["adapter/w2"])
                 state.adapters.validate(config)
             written = _checkpoint_arrays(state)
             for name in sorted(written.keys() ^ set(data.files)):

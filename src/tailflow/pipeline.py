@@ -124,16 +124,21 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
+        """The manifest saved at ``path``; a ``ValueError`` naming the file if
+        it is not a JSON object, lacks a key or has another format version."""
         path = Path(path)
-        payload = json.loads(path.read_text())
-        if payload["format_version"] != MANIFEST_VERSION:
-            raise ValueError(f"unsupported manifest version {payload['format_version']}")
-        return cls(
-            config_hash=payload["config_hash"],
-            root_seed=payload["root_seed"],
-            stages=payload["stages"],
-            out_dir=str(path.parent),
-        )
+        try:
+            payload = json.loads(path.read_text())  # JSONDecodeError is a ValueError
+            if not isinstance(payload, dict):
+                raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+            if payload["format_version"] != MANIFEST_VERSION:
+                raise ValueError(f"unsupported manifest version {payload['format_version']!r}")
+            return cls(payload["config_hash"], payload["root_seed"], payload["stages"],
+                       out_dir=str(path.parent))
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing key {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def build_partition(corpus: Corpus, method: str, num_experts: int, seed: int) -> Partition:
@@ -161,6 +166,7 @@ class RunContext:
     test: Corpus | None = None
     partition: Partition | None = None
     state: ModelState | None = None
+    generated: FeatureSet | None = None
 
     def train_corpus(self) -> Corpus:
         if self.corpus is None:
@@ -181,6 +187,11 @@ class RunContext:
         if self.state is None:
             self.state = load_checkpoint(self.out / "checkpoint.npz")
         return self.state
+
+    def generated_features(self) -> FeatureSet:
+        if self.generated is None:
+            self.generated = load_features(self.out / "generated.txt", tag="generated")
+        return self.generated
 
 
 # The recipe and the stage bodies look the package functions up as module globals
@@ -219,8 +230,7 @@ def fine_tune(
     """``cfg``'s adapters, one per expert of ``part`` drawn from ``init_seed``, trained
     under ``seed`` over ``base``'s frozen backbone; ``base`` itself is left as it was."""
     adapters = init_adapters(
-        base.config, part.num_experts, cfg.adapter_dim, cfg.adapter_placement,
-        cfg.adapter_nonlinearity, init_seed,
+        base.config, part.num_experts, cfg.adapter_dim, cfg.adapter_placement, seed=init_seed
     )
     return train(
         ModelState(config=base.config, backbone=base.backbone, adapters=adapters, frozen=True),
@@ -297,6 +307,8 @@ def _sample(ctx: RunContext) -> None:
         ctx.root, "sample",
     )
     save_samples(ctx.out / "generated.txt", rows, classes)
+    # the rows load_features would read back: records round-trip through repr
+    ctx.generated = FeatureSet(rows, np.arange(len(rows)), "generated", classes)
 
 
 def _features(corpus: Corpus, tag: str) -> FeatureSet:
@@ -306,7 +318,7 @@ def _features(corpus: Corpus, tag: str) -> FeatureSet:
 def _evaluate(ctx: RunContext) -> None:
     out = ctx.out
     report = evaluate(
-        load_features(out / "generated.txt", tag="generated"),
+        ctx.generated_features(),
         _features(ctx.train_corpus(), "train"), _features(ctx.test_corpus(), "test"),
         k=ctx.cfg.metrics_k,
     )
@@ -405,10 +417,13 @@ _COMPARED = ("coverage", "irs_adjusted", "frechet")
 
 
 def compare_runs(manifests: list[RunManifest], labels: list[str] | None = None) -> str:
-    """One CSV row per run: aggregate and macro metrics plus utilization gap.
+    """One CSV row per run: aggregate and macro metrics plus utilization gap,
+    labelled by ``labels`` (one per manifest) or else by run directory name.
     Each artifact read is first checked against its manifest's sha256."""
     if len(manifests) < 2:
         raise ValueError("need at least two manifests to compare")
+    if labels is not None and len(labels) != len(manifests):
+        raise ValueError(f"{len(labels)} labels for {len(manifests)} manifests")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["run", *_COMPARED, *(f"macro_{f}" for f in _COMPARED), "utilization_gap"])
@@ -421,7 +436,7 @@ def compare_runs(manifests: list[RunManifest], labels: list[str] | None = None) 
             schema = key
         elif key != schema:
             raise SchemaMismatchError(f"metric schema {key} differs from {schema}")
-        label = labels[idx] if labels else Path(man.out_dir).name
+        label = Path(man.out_dir).name if labels is None else labels[idx]
         row = [label, *(metrics[f] for f in _COMPARED)]
         row += [*(metrics["macro"][f] for f in _COMPARED), ledger["gap"]]
         writer.writerow(["" if v is None else v for v in row])

@@ -192,7 +192,7 @@ def _probe(
     cfg = backbone_state.config
     stack = init_adapters(
         cfg, num_experts=1, adapter_dim=PROBE_DIM,
-        placement="last:1", nonlinearity="gelu", seed=derive_seed(seed, "probe-w1"),
+        placement="last:1", seed=derive_seed(seed, "probe-w1"),
     )
     stack.w2 = rng_for(seed, "probe-w2").standard_normal(stack.w2.shape) / np.sqrt(PROBE_DIM)
     probe = ModelState(config=cfg, backbone=backbone_state.backbone, adapters=stack, frozen=True)
@@ -265,7 +265,7 @@ def _prepared_steps(
                 ledger.add(batch.experts)
             draws = _draws(next(streams), batch_size, state.config.data_dim, cond_dropout)
             rows.append((*draws, batch.x, batch.cond, batch.experts))
-        block = _loss_inputs(state, *map(np.stack, zip(*rows)), project=state.frozen)
+        block = _loss_inputs(state, *map(np.stack, zip(*rows)))
         yield from ((block, b) for b in range(len(rows)))
 
 

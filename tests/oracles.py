@@ -138,10 +138,8 @@ def _add(*vectors) -> list[float]:
     return [sum(parts) for parts in zip(*vectors)]
 
 
-_ACT = {
-    "gelu": lambda v: 0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))),
-    "relu": lambda v: max(v, 0.0),
-}
+def _gelu(v: float) -> float:
+    return 0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0)))
 
 
 def forward_reference(
@@ -150,13 +148,12 @@ def forward_reference(
     x: np.ndarray,
     t: float,
     c: np.ndarray,
-    nonlinearity: str = "gelu",
 ) -> np.ndarray:
     """Velocity for one sample, straight from the model's defining formula.
 
     h_0 = W_in x + W_time tau(t) + W_cond c + b_in with tau(t) the sin/cos
     features at frequencies 1000^(i / (half - 1)); each block l maps
-    h -> h + F_l(h) + W2 sigma(W1 h) with F_l(h) = U gelu(V h + c_l) + e_l;
+    h -> h + F_l(h) + W2 gelu(W1 h) with F_l(h) = U gelu(V h + c_l) + e_l;
     the output is W_out h_L + b_out. ``adapters`` maps a block id to the
     routed expert's (W1, W2); blocks without an entry have no adapter term.
     """
@@ -168,12 +165,12 @@ def forward_reference(
     num_blocks = sum(1 for name in backbone if name.endswith(".v"))
     for l in range(num_blocks):
         a = _add(_matvec(backbone[f"block{l}.v"], h), backbone[f"block{l}.c"])
-        f = _add(_matvec(backbone[f"block{l}.u"], [_ACT["gelu"](v) for v in a]),
+        f = _add(_matvec(backbone[f"block{l}.u"], [_gelu(v) for v in a]),
                  backbone[f"block{l}.e"])
         parts = [h, f]
         if l in adapters:
             w1, w2 = adapters[l]
-            parts.append(_matvec(w2, [_ACT[nonlinearity](v) for v in _matvec(w1, h)]))
+            parts.append(_matvec(w2, [_gelu(v) for v in _matvec(w1, h)]))
         h = _add(*parts)
     return np.array(_add(_matvec(backbone["w_out"], h), backbone["b_out"]))
 

@@ -41,14 +41,14 @@ from tailflow.seeding import rng_for
 from tailflow.training import assemble_batch
 
 
-def small_state(num_experts=2, adapter_dim=6, placement="all", nonlinearity="gelu",
-                hidden=8, blocks=2, data_dim=3, cond_dim=4, zero_w2=True, seed=1):
+def small_state(num_experts=2, adapter_dim=6, placement="all", hidden=8, blocks=2,
+                data_dim=3, cond_dim=4, zero_w2=True, seed=1):
     cfg = BackboneConfig(data_dim=data_dim, hidden_dim=hidden, num_blocks=blocks,
                          cond_dim=cond_dim, time_embed_dim=4)
     state = ModelState(
         config=cfg,
         backbone=init_backbone(cfg, seed),
-        adapters=init_adapters(cfg, num_experts, adapter_dim, placement, nonlinearity, seed),
+        adapters=init_adapters(cfg, num_experts, adapter_dim, placement, seed=seed),
         frozen=True,
     )
     # a fresh backbone has a zero output head (nothing to backpropagate
@@ -84,12 +84,11 @@ def small_inputs(state, n=5, seed=0):
 
 def reference(state, X, T, C, expert_id):
     """Oracle forward of every row, routed to ``expert_id``."""
-    adapters, nonlinearity = {}, "gelu"
+    adapters = {}
     if state.adapters is not None:
-        nonlinearity = state.adapters.nonlinearity
         adapters = {l: (state.adapters.w1[expert_id, j], state.adapters.w2[expert_id, j])
                     for j, l in enumerate(state.adapters.placement)}
-    return np.stack([forward_reference(state.backbone, adapters, x, t, c, nonlinearity)
+    return np.stack([forward_reference(state.backbone, adapters, x, t, c)
                      for x, t, c in zip(X, T, C)])
 
 
@@ -169,34 +168,17 @@ class TestBackboneForward:
 
 
 class TestAdapterForward:
-    """The adapter term W2 sigma(W1 h) as model_forward applies it."""
+    """The adapter term W2 gelu(W1 h) as model_forward applies it."""
 
     def test_zero_up_projection(self):
-        state = small_state(nonlinearity="relu", zero_w2=True)
+        state = small_state(zero_w2=True)
         state.adapters.w1 = np.ones_like(state.adapters.w1)
         X, T, C = small_inputs(state)
         for k in range(2):
             assert np.array_equal(routed(state, X, T, C, k), model_forward(bare(state), X, T, C))
 
-    def test_relu_hand_computation(self):
-        # identity projections, a zero base block and an identity head:
-        # out = h + 0 + relu(h) with h = x
-        cfg = BackboneConfig(data_dim=2, hidden_dim=2, num_blocks=1, cond_dim=1,
-                             time_embed_dim=2)
-        backbone = {name: np.zeros_like(w) for name, w in init_backbone(cfg, 0).items()}
-        backbone["w_in"] = np.eye(2)
-        backbone["w_out"] = np.eye(2)
-        stack = init_adapters(cfg, 1, 2, "all", "relu", 0)
-        stack.w1[0, 0] = np.eye(2)
-        stack.w2[0, 0] = np.eye(2)
-        state = ModelState(config=cfg, backbone=backbone, adapters=stack)
-        X, T, C = np.array([[-1.0, 2.0]]), np.array([0.5]), np.zeros((1, 1))
-        out = routed(state, X, T, C, 0)
-        assert np.array_equal(out, np.array([[-1.0, 4.0]]))
-        assert np.array_equal(out, reference(state, X, T, C, 0))
-
     def test_matches_naive_matmul_oracle(self):
-        state = small_state(nonlinearity="relu", zero_w2=False, seed=11)
+        state = small_state(zero_w2=False, seed=11)
         X, T, C = small_inputs(state, seed=11)
         # plain scalar loops; agreement up to accumulation-order rounding
         for k in range(2):
@@ -362,9 +344,11 @@ def test_stacked_frozen_prefix_equals_each_step(hidden, n):
 class TestFlowMatchingLoss:
     def test_perfect_predictor_gives_zero_loss(self, monkeypatch):
         # stub the network with an exact-target predictor reconstructed from
-        # the documented draw order (t first, then x0)
+        # the documented draw order (t first, then x0); without adapters no
+        # frozen prefix is projected, so the loss runs the whole _forward
         state = small_state()
         batch = small_batch(state, n=6)
+        state = bare(state)
         seed = 99
         rng = rng_for(seed, "flow-loss")
         n = len(batch.samples)
@@ -407,7 +391,7 @@ class TestFlowMatchingLoss:
         calls, real = [], model_mod.time_features
 
         def counted(t, dim):
-            calls.append(len(t))
+            calls.append(np.size(t))
             return real(t, dim)
 
         monkeypatch.setattr(model_mod, "time_features", counted)
@@ -697,6 +681,26 @@ def test_malformed_checkpoint_is_refused_at_load(tmp_path, edit, message):
     assert str(info.value).startswith(f"{path}: ")
 
 
+def test_checkpoint_naming_another_nonlinearity_is_refused(tmp_path):
+    # a stack written with another activation would run as GELU: refused, not reinterpreted
+    path = tmp_path / "model.npz"
+    save_checkpoint(small_state(), path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    edit_meta(lambda meta: meta["adapters"].update(nonlinearity="relu"))(arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="meta is not in the written form .*gelu") as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("nonlinearity", ["relu", "GELU", "tanh"])
+def test_init_adapters_refuses_any_nonlinearity_but_gelu(nonlinearity):
+    cfg = BackboneConfig(data_dim=2, hidden_dim=8, num_blocks=2, cond_dim=4, time_embed_dim=4)
+    with pytest.raises(ValueError, match=f"unknown nonlinearity '{nonlinearity}'"):
+        init_adapters(cfg, 2, 4, "all", nonlinearity, 0)
+
+
 def test_init_adapters_refuses_an_empty_stack():
     cfg = BackboneConfig(data_dim=2, hidden_dim=8, num_blocks=2, cond_dim=4, time_embed_dim=4)
     for experts, width in ((0, 4), (2, 0)):
@@ -724,11 +728,9 @@ def test_stacked_weights_equal_per_slot_draws():
 
 @settings(max_examples=25, deadline=None)
 @given(num_experts=st.integers(1, 4), width=st.integers(1, 9),
-       blocks=st.sets(st.integers(0, 2), max_size=3),
-       nonlinearity=st.sampled_from(["gelu", "relu"]), seed=st.integers(0, 2**16))
-def test_checkpoint_round_trip_property(num_experts, width, blocks, nonlinearity, seed):
-    state = small_state(num_experts, width, sorted(blocks), nonlinearity, blocks=3, seed=seed,
-                        zero_w2=False)
+       blocks=st.sets(st.integers(0, 2), max_size=3), seed=st.integers(0, 2**16))
+def test_checkpoint_round_trip_property(num_experts, width, blocks, seed):
+    state = small_state(num_experts, width, sorted(blocks), blocks=3, seed=seed, zero_w2=False)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.npz"
         save_checkpoint(state, path)
@@ -737,7 +739,7 @@ def test_checkpoint_round_trip_property(num_experts, width, blocks, nonlinearity
         loaded = load_checkpoint(path)
     placement = state.adapters.placement
     assert keys == ["adapter/w1", "adapter/w2"]
-    assert (loaded.adapters.placement, loaded.adapters.nonlinearity) == (placement, nonlinearity)
+    assert loaded.adapters.placement == placement
     for name in ("w1", "w2"):
         a, b = getattr(state.adapters, name), getattr(loaded.adapters, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -73,7 +73,8 @@ class TestPipeline:
             assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
     def test_pipeline_never_reloads_a_corpus(self, smoke_run, tmp_path, monkeypatch):
-        # every stage reads the corpora datagen left in the run's context
+        # every stage reads the corpora datagen and the rows sample left in the
+        # run's context; a lone evaluate reads the rows from generated.txt
         def load_corpus(path):
             raise AssertionError(f"run_pipeline re-read {path}")
 
@@ -87,8 +88,13 @@ class TestPipeline:
         monkeypatch.setattr("tailflow.datagen.load_corpus", load_corpus)
         monkeypatch.setattr("tailflow.pipeline.load_features", load_features)
         run_pipeline(SMOKE, tmp_path)
-        assert read == ["generated.txt"]
+        assert read == []
         out, _, _ = smoke_run
+        assert (tmp_path / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
+        monkeypatch.undo()
+        monkeypatch.setattr("tailflow.pipeline.load_features", load_features)
+        run_stage(SMOKE, tmp_path, "evaluate")
+        assert read == ["generated.txt"]
         assert (tmp_path / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
 
     def test_fine_tune_leaves_its_base_as_it_was(self, smoke_run):
@@ -151,6 +157,13 @@ class TestCompare:
         _, manifest, _ = smoke_run
         with pytest.raises(ValueError):
             compare_runs([manifest])
+
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"], []])
+    def test_labels_must_match_the_runs(self, smoke_run, labels):
+        # too few used to raise a bare IndexError, and extra labels were dropped
+        _, manifest, _ = smoke_run
+        with pytest.raises(ValueError, match=f"^{len(labels)} labels for 2 manifests$"):
+            compare_runs([manifest, manifest], labels=labels)
 
     def test_schema_mismatch_detected(self, smoke_run, tmp_path):
         out, manifest, _ = smoke_run
@@ -310,6 +323,27 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'evaluate'" in err and str(a / "manifest.json") in err
+
+    @pytest.mark.parametrize("text, reason", [
+        ("{}", "missing key 'format_version'"),
+        ('{"format_version": 1, "root_seed": 42, "stages": {}}', "missing key 'config_hash'"),
+        ("", "Expecting value: line 1 column 1 (char 0)"),
+        ("[1]", "expected a JSON object, got list"),
+        ('{"format_version": 2}', "unsupported manifest version 2"),
+    ], ids=["no-version", "no-config-hash", "empty", "list", "version-2"])
+    def test_compare_names_a_manifest_it_cannot_read(self, smoke_run, tmp_path, capsys,
+                                                     text, reason):
+        out, _, _ = smoke_run
+        bad = tmp_path / "manifest.json"
+        bad.write_text(text)
+        with pytest.raises(ValueError) as info:
+            RunManifest.load(bad)
+        assert str(info.value) == f"{bad}: {reason}"
+        rc = main(["compare", str(out / "manifest.json"), str(bad),
+                   "--out", str(tmp_path / "cmp")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+        assert not (tmp_path / "cmp").exists()
 
     def test_compare_rejects_an_artifact_edited_after_its_run(self, smoke_run, tmp_path, capsys):
         out, _, _ = smoke_run

@@ -219,8 +219,8 @@ class TestTrain:
     @pytest.mark.parametrize("placement, nonlinearity, experts, cond_dropout, resample, steps", [
         ("all", "gelu", 3, 0.1, False, 21),
         ("last:1", "gelu", 3, 0.0, True, 37),
-        ("1", "relu", 3, 0.1, True, 16),
-        ("all", "relu", 1, 0.0, False, 17),
+        ("1", "gelu", 3, 0.1, True, 16),
+        ("all", "gelu", 1, 0.0, False, 17),
         ("1", "gelu", 1, 0.1, True, 5),
         ("none", "gelu", 3, 0.1, False, 3),
     ])
