@@ -12,7 +12,7 @@ from pathlib import Path
 from tailflow import ExperimentConfig, compare_runs, run_pipeline
 
 base = ExperimentConfig(
-    seeds=[11],
+    seed=11,
     corpus_profile="chest-longtail",
     corpus_size=600,
     corpus_test_size=300,

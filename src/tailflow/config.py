@@ -73,9 +73,8 @@ def _float_value(key: str, value) -> float:
 
 
 def _parse_value(raw: str):
-    raw = raw.strip()
     if "," in raw:
-        return [_parse_scalar(part) for part in raw.split(",") if part.strip() != ""]
+        return [_parse_scalar(part) for part in raw.split(",")]
     return _parse_scalar(raw)
 
 
@@ -104,6 +103,9 @@ def parse_config_text(text: str) -> dict[str, object]:
             raise ValueError(f"line {lineno}: empty key")
         if key in result:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        raw = raw.strip()
+        if "," in raw and any(not part.strip() for part in raw.split(",")):
+            raise ValueError(f"line {lineno}: {key}: empty element in list value {raw!r}")
         result[key] = _parse_value(raw)
     return result
 
@@ -120,7 +122,7 @@ def config_hash(flat: dict[str, object]) -> str:
 class ExperimentConfig:
     """Typed view of a full experiment; every field round-trips losslessly."""
 
-    seeds: list[int] = field(default_factory=lambda: [0])
+    seed: int = 0
 
     corpus_profile: str = "chest-longtail"
     corpus_size: int = 2000
@@ -172,30 +174,24 @@ class ExperimentConfig:
             if key not in _KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             attr = _KEYS[key]
-            if attr == "seeds":
-                values = value if isinstance(value, list) else [value]
-                cfg.seeds = [_int_value(key, v) for v in values]
+            current = getattr(cfg, attr)
+            if isinstance(current, bool):
+                if not isinstance(value, bool):
+                    raise ValueError(f"{key}: expected true/false, got {value!r}")
+                setattr(cfg, attr, value)
+            elif isinstance(current, int):
+                setattr(cfg, attr, _int_value(key, value))
+            elif isinstance(current, float):
+                setattr(cfg, attr, _float_value(key, value))
             else:
-                current = getattr(cfg, attr)
-                if isinstance(current, bool):
-                    if not isinstance(value, bool):
-                        raise ValueError(f"{key}: expected true/false, got {value!r}")
-                    setattr(cfg, attr, value)
-                elif isinstance(current, int):
-                    setattr(cfg, attr, _int_value(key, value))
-                elif isinstance(current, float):
-                    setattr(cfg, attr, _float_value(key, value))
-                else:
-                    # a list, as "adapter.placement = 0,1" parses, keeps its text form
-                    setattr(cfg, attr, _render_value(value))
+                # a list, as "adapter.placement = 0,1" parses, keeps its text form
+                setattr(cfg, attr, _render_value(value))
         cfg.validate()
         return cfg
 
     def to_flat(self) -> dict[str, object]:
-        flat: dict[str, object] = {"version": CONFIG_VERSION, "seeds": list(self.seeds)}
+        flat: dict[str, object] = {"version": CONFIG_VERSION}
         for key, attr in _KEYS.items():
-            if key == "seeds":
-                continue
             flat[key] = getattr(self, attr)
         flat.update(self.explicit_classes)
         return flat
@@ -206,16 +202,7 @@ class ExperimentConfig:
     def hash(self) -> str:
         return config_hash(self.to_flat())
 
-    @property
-    def root_seed(self) -> int:
-        return self.seeds[0]
-
     def validate(self) -> None:
-        for seed in self.seeds:
-            if seed < 0:
-                raise ValueError(f"seeds: must be >= 0, got {seed}")
-        if len(self.seeds) != 1:  # a run reads one root seed; a list would drop the rest
-            raise ValueError(f"seeds: expected one seed, got {len(self.seeds)}")
         for op, bound, keys in _BOUNDS:
             for key in keys:
                 value = getattr(self, _KEYS[key])
@@ -276,8 +263,9 @@ _BOUNDS = (
                "partition.experts", "backbone.hidden_dim", "backbone.blocks",
                "backbone.time_embed_dim", "adapter.dim", "train.batch_size", "sample.steps",
                "sample.per_class", "metrics.k")),
-    (">=", 0, ("corpus.noise_scale", "train.pretrain_steps", "train.steps", "train.quota",
-               "train.trace_interval", "train.cond_dropout", "sample.guidance_scale")),
+    (">=", 0, ("seed", "corpus.noise_scale", "train.pretrain_steps", "train.steps",
+               "train.quota", "train.trace_interval", "train.cond_dropout",
+               "sample.guidance_scale")),
     ("<=", 1, ("train.cond_dropout",)),
     (">", 0, ("train.lr", "train.pretrain_lr")),
 )
@@ -288,7 +276,11 @@ _CLASS_KEY = re.compile(r"class\.(0|[1-9][0-9]*)\.(mean|scale|count|healthy)")
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    return ExperimentConfig.from_flat(parse_config_text(Path(path).read_text()))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc.reason}") from exc
+    return ExperimentConfig.from_flat(parse_config_text(text))
 
 
 def class_specs_from_config(cfg: ExperimentConfig, total: int | None = None) -> list[ClassSpec]:

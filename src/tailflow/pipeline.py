@@ -4,8 +4,8 @@
 partition -> train -> sample -> evaluate. ``run_pipeline`` runs them all
 inside an output directory; ``run_stage`` runs one, reading its inputs from
 that directory. Either way each finished stage is recorded in
-``<out>/manifest.json`` (config hash, root seed, artifact names and content
-hashes, wall-clock seconds), and a run is fully reproducible from (config,
+``<out>/manifest.json`` (config hash, root seed, the sha256 of each
+artifact, wall-clock seconds), and a run is fully reproducible from (config,
 root seed). Any stage failure raises ``StageError`` naming the stage;
 artifacts written so far are retained.
 
@@ -21,6 +21,8 @@ import csv
 import hashlib
 import io
 import json
+import math
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,7 +83,7 @@ __all__ = [
     "ARTIFACTS",
 ]
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 ARTIFACTS = {
     "datagen": ("train_corpus.txt", "test_corpus.txt"),
@@ -105,7 +107,7 @@ class RunManifest:
         path = Path(self.out_dir, "manifest.json")
         if stage not in self.stages:
             raise ValueError(f"{path}: stage {stage!r} has not run")
-        data = (Path(self.out_dir) / self.stages[stage]["artifacts"][name]).read_bytes()
+        data = (Path(self.out_dir) / name).read_bytes()
         if hashlib.sha256(data).hexdigest() != self.stages[stage]["sha256"][name]:
             raise ValueError(f"{path}: {name} does not match its recorded sha256")
         return data
@@ -125,7 +127,8 @@ class RunManifest:
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
         """The manifest saved at ``path``; a ``ValueError`` naming the file if
-        it is not a JSON object, lacks a key or has another format version."""
+        it is not a JSON object, lacks a key, has another format version or
+        has a stage entry that no run writes."""
         path = Path(path)
         try:
             payload = json.loads(path.read_text())  # JSONDecodeError is a ValueError
@@ -133,12 +136,47 @@ class RunManifest:
                 raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
             if payload["format_version"] != MANIFEST_VERSION:
                 raise ValueError(f"unsupported manifest version {payload['format_version']!r}")
-            return cls(payload["config_hash"], payload["root_seed"], payload["stages"],
-                       out_dir=str(path.parent))
+            manifest = cls(payload["config_hash"], payload["root_seed"], payload["stages"],
+                           out_dir=str(path.parent))
+            _check_stages(manifest.stages)
+            return manifest
         except KeyError as exc:
             raise ValueError(f"{path}: missing key {exc}") from exc
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+
+
+_DIGEST = re.compile("[0-9a-f]{64}")
+
+
+def _keys(value: object) -> list[str] | str:
+    """A JSON object's sorted keys, or the type name of any other value."""
+    return sorted(value) if isinstance(value, dict) else type(value).__name__
+
+
+def _check_stages(stages: object) -> None:
+    """Refuse a ``stages`` map other than the one ``_run`` writes: per finished
+    stage, ``sha256`` holding a digest of each of its ``ARTIFACTS``, and ``seconds``."""
+    if not isinstance(stages, dict):
+        raise ValueError(f"stages: expected an object, got {_keys(stages)}")
+    for name, entry in stages.items():
+        if name not in ARTIFACTS:
+            raise ValueError(f"stage {name!r}: not one of {', '.join(ARTIFACTS)}")
+        if _keys(entry) != ["seconds", "sha256"]:
+            raise ValueError(f"stage {name!r}: expected keys ['seconds', 'sha256'], "
+                             f"got {_keys(entry)}")
+        digests, seconds = entry["sha256"], entry["seconds"]
+        if _keys(digests) != sorted(ARTIFACTS[name]):
+            raise ValueError(f"stage {name!r}: sha256: expected keys "
+                             f"{sorted(ARTIFACTS[name])}, got {_keys(digests)}")
+        for artifact, digest in digests.items():
+            if not isinstance(digest, str) or not _DIGEST.fullmatch(digest):
+                raise ValueError(f"stage {name!r}: sha256: {artifact}: expected 64 lowercase "
+                                 f"hex digits, got {digest!r}")
+        # json.loads reads NaN, which save would then refuse after the stage has run
+        if type(seconds) is not int and not (type(seconds) is float and math.isfinite(seconds)):
+            raise ValueError(f"stage {name!r}: seconds: expected a finite number, "
+                             f"got {seconds!r}")
 
 
 def build_partition(corpus: Corpus, method: str, num_experts: int, seed: int) -> Partition:
@@ -351,10 +389,8 @@ def _run(ctx: RunContext, manifest: RunManifest, name: str) -> None:
         STAGES[name](ctx)
     except Exception as exc:
         raise StageError(name, str(exc)) from exc
-    names = ARTIFACTS[name]
     manifest.stages[name] = {
-        "artifacts": {n: n for n in names},
-        "sha256": {n: _sha256(ctx.out / n) for n in names},
+        "sha256": {n: _sha256(ctx.out / n) for n in ARTIFACTS[name]},
         "seconds": time.perf_counter() - started,
     }
     manifest.save(ctx.out / "manifest.json")
@@ -363,7 +399,7 @@ def _run(ctx: RunContext, manifest: RunManifest, name: str) -> None:
 def _start(
     cfg: ExperimentConfig, out_dir: str | Path, seed: int | None
 ) -> tuple[RunContext, RunManifest]:
-    root = cfg.root_seed if seed is None else seed
+    root = cfg.seed if seed is None else seed
     if root < 0:  # before the output directory is made
         raise ValueError(f"seed: must be >= 0, got {root}")
     out = Path(out_dir)

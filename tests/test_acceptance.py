@@ -398,7 +398,7 @@ def test_criterion_9_cfg_collapse_and_default_scale():
 
 def test_criterion_10_pipeline_determinism(tmp_path):
     cfg = ExperimentConfig(
-        seeds=[42], corpus_size=200, corpus_test_size=120, train_pretrain_steps=60,
+        seed=42, corpus_size=200, corpus_test_size=120, train_pretrain_steps=60,
         train_steps=50, sample_per_class=6, sample_steps=8, metrics_k=3,
     )
     run_pipeline(cfg, tmp_path / "a")

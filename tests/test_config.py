@@ -22,7 +22,7 @@ from tailflow.pipeline import run_stage
 SAMPLE = """
 # smoke experiment
 version = 1
-seeds = 42
+seed = 42
 corpus.profile = tail8
 corpus.size = 400
 corpus.test_size = 200
@@ -34,7 +34,7 @@ sample.guidance_scale = 5.0
 
 def test_parse_and_types():
     flat = parse_config_text(SAMPLE)
-    assert flat["seeds"] == 42
+    assert flat["seed"] == 42
     assert flat["corpus.size"] == 400
     assert flat["train.resample"] is True
     assert flat["sample.guidance_scale"] == 5.0
@@ -60,7 +60,7 @@ def test_round_trip_is_lossless():
 
 def test_defaults_and_root_seed():
     cfg = ExperimentConfig.from_flat(parse_config_text(SAMPLE))
-    assert cfg.root_seed == 42
+    assert cfg.seed == 42
     assert cfg.sample_guidance_scale == 5.0  # CFG default scale
     assert cfg.metrics_k == 5
 
@@ -137,7 +137,7 @@ def test_profiles(tmp_path):
 
 def test_validation():
     with pytest.raises(ValueError):
-        ExperimentConfig(seeds=[]).validate()
+        ExperimentConfig(seed=-1).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(train_quota=10, train_batch_size=8).validate()
 
@@ -145,7 +145,7 @@ def test_validation():
 @pytest.mark.parametrize("text, message", [
     ("train.steps = 2.9", "train.steps: expected an integer, got 2.9"),
     ("metrics.k = true", "metrics.k: expected an integer, got True"),
-    ("seeds = 4.7", "seeds: expected an integer, got 4.7"),
+    ("seed = 4.7", "seed: expected an integer, got 4.7"),
     ("train.lr = true", "train.lr: expected a number, got True"),
     ("train.lr = fast", "train.lr: expected a number, got 'fast'"),
 ])
@@ -210,9 +210,10 @@ def _three_classes(*extra: str) -> str:
     ("class.0.mean = 0.0\nclass.0.scale = 1.0\nclass.0.count = 5\n"
      "class.1.mean = 1.0\nclass.1.scale = 1.0\nclass.1.count = 3\ncorpus.dimension = 1",
      "metrics.k: 5 needs a train class of at least 6 members; the largest has 5"),
-    ("seeds = -1", "seeds: must be >= 0, got -1"),
-    ("seeds = 3,-2", "seeds: must be >= 0, got -2"),
-    ("seeds = 3,5", "seeds: expected one seed, got 2"),
+    ("seed = -1", "seed: must be >= 0, got -1"),
+    # a run reads one root seed, so a list is refused as any integer key refuses it
+    ("seed = 3,5", r"seed: expected an integer, got \[3, 5\]"),
+    ("seeds = 42", "unknown config key 'seeds'"),
     (_two_classes("class.0.count = 0"), "class.0.count: must be >= 1, got 0"),
     # alone, the class is named before metrics.k is checked against it
     ("class.0.count = -5\nclass.0.mean = 0.0,0.0\nclass.0.scale = 1.0",
@@ -270,6 +271,30 @@ def test_list_placement_loads_as_its_text_and_round_trips():
     assert again == cfg and again.hash() == cfg.hash()
 
 
+@pytest.mark.parametrize("line, raw", [
+    ("adapter.placement = 0,,1", "0,,1"),
+    ("adapter.placement = ,1", ",1"),
+    # a one-dimensional mean is written as a scalar
+    ("class.0.mean = 1.0,", "1.0,"),
+    ("class.0.mean = 1.0, ", "1.0,"),
+])
+def test_empty_list_elements_are_refused_naming_the_line(line, raw):
+    # they were dropped, so "0,,1" ran and was recorded as "0,1"
+    key = line.split(" =")[0]
+    message = f"line 2: {key}: empty element in list value '{raw}'"
+    with pytest.raises(ValueError) as info:
+        parse_config_text(f"train.steps = 5\n{line}\n")
+    assert str(info.value) == message
+
+
+def test_a_config_that_is_not_utf8_is_refused_naming_the_file(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"train.steps = 5\ncorpus.profile = t\xffil8\n")
+    with pytest.raises(ValueError) as info:
+        load_experiment_config(path)
+    assert str(info.value) == f"{path}: not UTF-8: invalid start byte"
+
+
 CLASS_KEYS = {"class.0.mean": "0.0,0.0", "class.0.scale": "0.5", "class.0.count": "30"}
 
 
@@ -321,7 +346,7 @@ def configs(draw):
     defaults = ExperimentConfig()
     values = {
         attr: draw(_values(key, getattr(defaults, attr)))
-        for key, attr in _KEYS.items() if key not in ("seeds", "metrics.k")
+        for key, attr in _KEYS.items() if key != "metrics.k"
     }
     if values["partition_method"] == "label-tier":
         values["partition_experts"] = draw(st.sampled_from([3, 4]))
@@ -330,7 +355,6 @@ def configs(draw):
         values["train_batch_size"] = draw(st.integers(values["partition_experts"]))
     values["train_quota"] = draw(st.integers(0, values["train_batch_size"]))
     values["backbone_time_embed_dim"] = 2 * draw(st.integers(1))  # sin/cos pairs: any even >= 2
-    values["seeds"] = [draw(st.integers(0, 2**63))]
     classes = {}
     cids = draw(st.sets(st.integers(0, 20), max_size=3))
     if cids:  # every mean holds corpus.dimension values, and at most one class is healthy

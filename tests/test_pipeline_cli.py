@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from tailflow.pipeline import (
 from tailflow.training import ledger_json
 
 SMOKE = ExperimentConfig(
-    seeds=[42],
+    seed=42,
     corpus_profile="chest-longtail",
     corpus_size=200,
     corpus_test_size=120,
@@ -40,6 +41,14 @@ SMOKE = ExperimentConfig(
 )
 
 SMOKE_TEXT = SMOKE.to_text()
+
+# an evaluate stage entry as a run writes it
+EVALUATE = {"sha256": {"metrics.json": "0" * 64, "metrics.csv": "f" * 64}, "seconds": 0.5}
+
+
+def _manifest_text(stages, version=2) -> str:
+    return json.dumps({"format_version": version, "config_hash": "c" * 64, "root_seed": 42,
+                       "stages": stages})
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +66,7 @@ class TestPipeline:
         assert elapsed < 60.0
         assert set(manifest.stages) == {"datagen", "partition", "train", "sample", "evaluate"}
         for stage, info in manifest.stages.items():
-            for name in info["artifacts"].values():
+            for name in info["sha256"]:
                 assert (out / name).exists()
             assert info["seconds"] >= 0.0
         assert (out / "manifest.json").exists()
@@ -326,11 +335,42 @@ class TestCli:
 
     @pytest.mark.parametrize("text, reason", [
         ("{}", "missing key 'format_version'"),
-        ('{"format_version": 1, "root_seed": 42, "stages": {}}', "missing key 'config_hash'"),
+        ('{"format_version": 2, "root_seed": 42, "stages": {}}', "missing key 'config_hash'"),
         ("", "Expecting value: line 1 column 1 (char 0)"),
         ("[1]", "expected a JSON object, got list"),
-        ('{"format_version": 2}', "unsupported manifest version 2"),
-    ], ids=["no-version", "no-config-hash", "empty", "list", "version-2"])
+        (_manifest_text({}, version=1), "unsupported manifest version 1"),
+        (_manifest_text(5), "stages: expected an object, got int"),
+        (_manifest_text({"bogus": EVALUATE}),
+         "stage 'bogus': not one of datagen, partition, train, sample, evaluate"),
+        (_manifest_text({"evaluate": 5}),
+         "stage 'evaluate': expected keys ['seconds', 'sha256'], got int"),
+        (_manifest_text({"evaluate": {}}),
+         "stage 'evaluate': expected keys ['seconds', 'sha256'], got []"),
+        # the version-1 entry, which also named each artifact after itself
+        (_manifest_text({"evaluate": {**EVALUATE, "artifacts": {"metrics.json": "metrics.json",
+                                                                "metrics.csv": "metrics.csv"}}}),
+         "stage 'evaluate': expected keys ['seconds', 'sha256'], "
+         "got ['artifacts', 'seconds', 'sha256']"),
+        (_manifest_text({"evaluate": {**EVALUATE, "sha256": {"metrics.json": "0" * 64}}}),
+         "stage 'evaluate': sha256: expected keys ['metrics.csv', 'metrics.json'], "
+         "got ['metrics.json']"),
+        (_manifest_text({"evaluate": {**EVALUATE, "sha256": ["0" * 64] * 2}}),
+         "stage 'evaluate': sha256: expected keys ['metrics.csv', 'metrics.json'], "
+         "got list"),
+        (_manifest_text({"evaluate": {**EVALUATE, "sha256": {"metrics.json": "abc",
+                                                             "metrics.csv": "f" * 64}}}),
+         "stage 'evaluate': sha256: metrics.json: expected 64 lowercase hex digits, got 'abc'"),
+        (_manifest_text({"evaluate": {**EVALUATE, "sha256": {"metrics.json": "0" * 64,
+                                                             "metrics.csv": "F" * 64}}}),
+         f"stage 'evaluate': sha256: metrics.csv: expected 64 lowercase hex digits, "
+         f"got '{'F' * 64}'"),
+        (_manifest_text({"evaluate": {**EVALUATE, "seconds": "0.5"}}),
+         "stage 'evaluate': seconds: expected a finite number, got '0.5'"),
+        (_manifest_text({"evaluate": {**EVALUATE, "seconds": float("nan")}}),
+         "stage 'evaluate': seconds: expected a finite number, got nan"),
+    ], ids=["no-version", "no-config-hash", "empty", "list", "version-1", "stages-int",
+            "unknown-stage", "entry-int", "entry-empty", "entry-artifacts", "sha256-missing",
+            "sha256-list", "digest-short", "digest-upper", "seconds-str", "seconds-nan"])
     def test_compare_names_a_manifest_it_cannot_read(self, smoke_run, tmp_path, capsys,
                                                      text, reason):
         out, _, _ = smoke_run
@@ -390,15 +430,35 @@ class TestCli:
         (["pipeline", "--seed", "-3"], "", "error: --seed: must be >= 0, got -3"),
         (["generate", "--seed", "-3"], "", "error: --seed: must be >= 0, got -3"),
         (["analyze-conflicts", "--seed", "-3"], "", "error: --seed: must be >= 0, got -3"),
-        (["pipeline"], "seeds = -1", "error: seeds: must be >= 0, got -1"),
-        (["pipeline"], "seeds = 0,1", "error: seeds: expected one seed, got 2"),
+        (["pipeline"], "seed = -1", "error: seed: must be >= 0, got -1"),
+        (["pipeline"], "seed = 0,1", "error: seed: expected an integer, got [0, 1]"),
     ])
     def test_negative_seeds_fail_at_load(self, tmp_path, capsys, argv, config_line, message):
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(SMOKE_TEXT.replace("seeds = 42", config_line))
+        cfg_path.write_text(SMOKE_TEXT.replace("seed = 42", config_line))
         out = tmp_path / "run"
         assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMOKE_TEXT)
+        assert "seed = 42\n" in SMOKE_TEXT
+        out = tmp_path / "flag"
+        assert main(["generate", "--seed", "7", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        manifest = RunManifest.load(out / "manifest.json")
+        assert (manifest.config_hash, manifest.root_seed) == (SMOKE.hash(), 7)
+        seeded = run_stage(replace(SMOKE, seed=7), tmp_path / "seeded", "datagen")
+        assert seeded.stages["datagen"]["sha256"] == manifest.stages["datagen"]["sha256"]
+
+    def test_a_config_that_is_not_utf8_fails_at_load(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_bytes(SMOKE_TEXT.encode().replace(b"chest", b"ch\xffst"))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg_path}: not UTF-8: invalid start byte\n"
         assert not out.exists()
 
     def test_label_tier_preconditions_fail_at_load(self, tmp_path, capsys):
